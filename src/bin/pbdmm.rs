@@ -14,7 +14,7 @@
 //! Graph files are plain hyperedge lists (see `pbdmm::graph::io`): one edge
 //! per line, whitespace-separated vertex ids, `#` comments.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -36,9 +36,8 @@ use pbdmm::primitives::cost::CostMeter;
 use pbdmm::primitives::obs::{Counter, Phase, Recorder};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    detect_shards, recover_dir_with, recover_sharded_matching, replay_into, replay_setcover,
-    shard_dir, CoalescePolicy, Done, RecoveryInfo, ServiceConfig, ServiceHandle, ServiceStats,
-    ShardedStats, WalConfig, MAX_SHARDS,
+    recover_dir_with, replay_into, replay_setcover, CoalescePolicy, Done, RecoveryInfo,
+    ServiceConfig, ServiceHandle, ServiceStats, WalConfig,
 };
 use pbdmm::setcover::CoverSnapshot;
 use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
@@ -65,16 +64,16 @@ usage:
   pbdmm serve [--producers P] [--updates N] [--readers R] [--max-batch B]
               [--max-delay-us D] [--structure matching|setcover]
               [--wal PATH|none] [--wal-sync BOOL] [--checkpoint-every N]
-              [--compare direct|none] [--shards K] [--seed S] [--threads T]
+              [--compare direct|none] [--seed S] [--threads T]
               [--profile [interval=N]]
-  pbdmm replay <wal-file-or-dir> [--from-genesis BOOL] [--shards K] [--threads T]
+  pbdmm replay <wal-file-or-dir> [--from-genesis BOOL] [--threads T]
               [--profile]
   pbdmm daemon [--port P] [--host H] [--max-connections C] [--max-inflight W]
                [--max-batch B] [--max-delay-us D] [--wal PATH|none]
-               [--wal-sync BOOL] [--checkpoint-every N] [--shards K]
-               [--seed S] [--threads T] [--profile [interval=N]]
+               [--wal-sync BOOL] [--checkpoint-every N] [--seed S] [--threads T]
+               [--profile [interval=N]]
   pbdmm load (--port P | --addr HOST:PORT) [--connections M] [--updates N]
-             [--queries Q] [--shutdown BOOL] [--shards K] [--seed S] [--threads T]
+             [--queries Q] [--shutdown BOOL] [--seed S] [--threads T]
              [--profile [interval=N]]
 
   serve drives a synthetic P-producer load through the batch-coalescing
@@ -117,17 +116,6 @@ usage:
   checkpoint it started from — unless --from-genesis true forces a
   full-history replay. daemon pointed at an existing segment directory
   (--wal DIR) recovers from it and resumes appending.
-
-  --shards K (serve, daemon; matching only) runs K matching shards behind
-  one routing tier: each batch is split by the deterministic vertex
-  partition (owner = minimum vertex id mod K), every shard keeps its own
-  segmented WAL under <dir>/shard-0 .. shard-(K-1), and reads resolve
-  against a per-shard snapshot at one global epoch. K=1 is byte-identical
-  to the unsharded path. replay auto-detects the shard-0.. layout (or
-  force it with --shards K) and recovers through the K-way merge onto a
-  consistent cross-shard cut; --from-genesis works there too. load
-  --shards K pins each connection's vertices to one shard, the traffic
-  locality a partitioned deployment sees.
 
   --profile (serve, daemon, replay, load) turns on the per-phase
   profiler: where batch time went (plan, WAL append, apply with settle
@@ -174,7 +162,73 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { positional, flags })
 }
 
+/// The flags each subcommand reads (`-o` is stored as `out`), or `None`
+/// for an unknown command. `--threads` is accepted everywhere.
+fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "match" | "cover" => &["seed"],
+        "dynamic" => &["batch", "order", "contender", "seed"],
+        "gen" => &["n", "m", "rank", "seed", "out"],
+        "serve" => &[
+            "producers",
+            "updates",
+            "readers",
+            "max-batch",
+            "max-delay-us",
+            "structure",
+            "wal",
+            "wal-sync",
+            "checkpoint-every",
+            "compare",
+            "seed",
+            "profile",
+        ],
+        "replay" => &["from-genesis", "profile"],
+        "daemon" => &[
+            "port",
+            "host",
+            "max-connections",
+            "max-inflight",
+            "max-batch",
+            "max-delay-us",
+            "wal",
+            "wal-sync",
+            "checkpoint-every",
+            "seed",
+            "profile",
+        ],
+        "load" => &[
+            "port",
+            "addr",
+            "connections",
+            "updates",
+            "queries",
+            "shutdown",
+            "seed",
+            "profile",
+        ],
+        _ => return None,
+    })
+}
+
 impl Args {
+    /// Refuse any flag `cmd` does not read, so a misspelled or retired
+    /// flag fails loudly instead of being silently ignored.
+    fn reject_unknown_flags(&self, cmd: &str) -> Result<(), String> {
+        let Some(known) = known_flags(cmd) else {
+            return Ok(());
+        };
+        let unknown = self
+            .flags
+            .keys()
+            .filter(|k| *k != "threads" && !known.contains(&k.as_str()))
+            .min();
+        match unknown {
+            None => Ok(()),
+            Some(k) => Err(format!("unknown flag --{k} for {cmd}")),
+        }
+    }
+
     fn flag<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
@@ -286,6 +340,8 @@ fn print_profile(obs: &Recorder) {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
+    let cmd = args.positional.first().ok_or("missing command")?.as_str();
+    args.reject_unknown_flags(cmd)?;
     // Size the process-global work-stealing pool before any parallel call;
     // all subcommands (and the structures they build) share that scheduler.
     // Validated strictly: `set_num_threads` would accept anything silently
@@ -301,7 +357,6 @@ fn run() -> Result<(), String> {
         }
         pbdmm::primitives::par::set_num_threads(threads);
     }
-    let cmd = args.positional.first().ok_or("missing command")?.as_str();
     match cmd {
         "match" => cmd_match(&args),
         "dynamic" => cmd_dynamic(&args),
@@ -812,164 +867,6 @@ where
     Ok((total, seconds, latencies, stats, read, s))
 }
 
-/// `serve_load` for the K-shard tier (`--shards K`, matching only): the
-/// same synthetic producer/reader load driven through
-/// [`ServiceConfig::builder().shards(K)`], so its report is directly
-/// comparable with the unsharded run. Snapshots are always enabled (the
-/// sharded tier exists for read scale-out); `readers = 0` merely skips the
-/// reader threads. Returns shard 0's replica — all K are byte-identical by
-/// construction — plus the routing stats.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn serve_load_sharded(
-    seed: u64,
-    shards: usize,
-    producers: usize,
-    per_producer: usize,
-    readers: usize,
-    policy: CoalescePolicy,
-    wal: Option<WalConfig>,
-    obs: Recorder,
-) -> Result<
-    (
-        u64,
-        f64,
-        Vec<f64>,
-        ServiceStats,
-        ReadReport,
-        DynamicMatching,
-        ShardedStats,
-    ),
-    String,
-> {
-    let mut builder = ServiceConfig::builder()
-        .policy(policy)
-        .shards(shards)
-        .obs(obs);
-    if let Some(cfg) = wal {
-        builder = builder.wal(cfg);
-    }
-    let (svc, query) = builder
-        .start_sharded(move || DynamicMatching::with_seed(seed))
-        .map_err(|e| e.to_string())?;
-    let start = std::time::Instant::now();
-    let all_latencies = Mutex::new(Vec::new());
-    let acked = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let read_acc = Mutex::new((0u64, 0u64, Vec::<f64>::new())); // reads, failed, staleness
-    let total: u64 = std::thread::scope(|scope| {
-        for r in 0..readers {
-            let q = query.clone();
-            let (acked, stop, read_acc) = (&acked, &stop, &read_acc);
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(seed ^ 0xD0_5EED ^ (r as u64) << 17);
-                let (mut reads, mut failed) = (0u64, 0u64);
-                let mut staleness = Vec::new();
-                let mut checked_epoch = u64::MAX;
-                while !stop.load(Ordering::Relaxed) {
-                    // Rotate point probes across the K shard snapshots: each
-                    // poll reads the shard owning a random vertex, the access
-                    // pattern the vertex-cut partition exists to serve.
-                    let v = rng.bounded(u32::MAX as u64) as u32;
-                    let snap = q.snapshot_for_vertex(v);
-                    if snap.epoch() != checked_epoch {
-                        checked_epoch = snap.epoch();
-                        if let Err(e) = snap.consistency() {
-                            eprintln!("reader {r}: inconsistent snapshot: {e}");
-                            failed += 1;
-                        }
-                        reads += 1;
-                    }
-                    for _ in 0..32 {
-                        if let Err(e) = snap.probe(&mut rng) {
-                            eprintln!("reader {r}: failed query: {e}");
-                            failed += 1;
-                        }
-                        reads += 1;
-                    }
-                    staleness
-                        .push(acked.load(Ordering::Relaxed).saturating_sub(snap.epoch()) as f64);
-                    std::thread::yield_now();
-                }
-                let mut acc = read_acc.lock().unwrap();
-                acc.0 += reads;
-                acc.1 += failed;
-                acc.2.append(&mut staleness);
-            });
-        }
-        let writer_handles: Vec<_> = (0..producers)
-            .map(|p| {
-                let h = svc.handle();
-                let q = query.clone();
-                let (lat, acked) = (&all_latencies, &acked);
-                scope.spawn(move || {
-                    let rng = SplitMix64::new(seed ^ (p as u64).wrapping_mul(0x9e37));
-                    let epoch_now: Box<dyn Fn() -> u64 + Sync> = Box::new(move || q.epoch());
-                    let (n, mut l, ryw) =
-                        service_producer_load(&h, rng, per_producer, acked, epoch_now.as_ref());
-                    lat.lock().unwrap().append(&mut l);
-                    (n as u64, ryw)
-                })
-            })
-            .collect();
-        let mut total = 0u64;
-        let mut ryw_total = 0u64;
-        for h in writer_handles {
-            let (n, ryw) = h.join().unwrap();
-            total += n;
-            ryw_total += ryw;
-        }
-        stop.store(true, Ordering::Relaxed);
-        read_acc.lock().unwrap().1 += ryw_total;
-        total
-    });
-    let seconds = start.elapsed().as_secs_f64();
-    let (mut replicas, routing) = svc.shutdown();
-    let m = replicas.remove(0);
-    // Every replica applied the same global batches from the same seed:
-    // anything but identical summaries is a determinism bug worth failing a
-    // benchmark run over.
-    for (s, r) in replicas.iter().enumerate() {
-        if (r.epoch(), r.num_edges(), r.matching_size())
-            != (m.epoch(), m.num_edges(), m.matching_size())
-        {
-            return Err(format!(
-                "shard {} diverged from shard 0: epoch={} edges={} matching={} vs epoch={} edges={} matching={}",
-                s + 1,
-                r.epoch(),
-                r.num_edges(),
-                r.matching_size(),
-                m.epoch(),
-                m.num_edges(),
-                m.matching_size()
-            ));
-        }
-    }
-    let mut latencies = all_latencies.into_inner().unwrap();
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let (reads, failed, mut staleness) = read_acc.into_inner().unwrap();
-    staleness.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let read = ReadReport {
-        reads,
-        failed,
-        seconds,
-        staleness,
-    };
-    Ok((total, seconds, latencies, routing.service, read, m, routing))
-}
-
-/// One-line routing summary for a K-shard run: how the deterministic
-/// min-vertex partition spread batch ownership across shards, and how many
-/// cross-shard edges left stubs on non-owner shards.
-fn sharding_summary(r: &ShardedStats) -> String {
-    format!(
-        "sharding: K={} routed={:?} stubs={:?} imbalance={:.1}%",
-        r.shards(),
-        r.routed,
-        r.stubs,
-        r.imbalance_pct()
-    )
-}
-
 /// Resolve the `--wal` / `--wal-sync` / `--checkpoint-every` convention
 /// shared by `serve` and `daemon`: durable by default (auto-named temp
 /// path), `--wal none` disables, `--wal PATH` picks the location. An
@@ -982,15 +879,10 @@ fn sharding_summary(r: &ShardedStats) -> String {
 /// directory layout but disables rotation). A `--wal PATH` naming an
 /// **existing directory** also selects the segmented mode — that is how a
 /// restart points the daemon back at the log it is recovering from.
-///
-/// `shards > 1` forces the segmented mode regardless of the other flags:
-/// the sharded tier always logs under a directory of `shard-0 ..
-/// shard-(K-1)` subdirectories, one segmented log per shard.
 fn wal_from_flags(
     args: &Args,
     meta: &WalMeta,
     sync: bool,
-    shards: usize,
     tag: &str,
 ) -> Result<Option<WalConfig>, String> {
     let ckpt_every: Option<u64> = match args.flags.get("checkpoint-every") {
@@ -1016,7 +908,7 @@ fn wal_from_flags(
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.subsec_nanos())
                 .unwrap_or(0);
-            let ext = if ckpt_every.is_some() || shards > 1 {
+            let ext = if ckpt_every.is_some() {
                 "waldir"
             } else {
                 "wal"
@@ -1024,7 +916,7 @@ fn wal_from_flags(
             std::env::temp_dir().join(format!("pbdmm_{tag}_{}_{nanos}.{ext}", std::process::id()))
         }
     };
-    let mut cfg = if ckpt_every.is_some() || path.is_dir() || shards > 1 {
+    let mut cfg = if ckpt_every.is_some() || path.is_dir() {
         let mut cfg = WalConfig::dir(path, meta.clone());
         if let Some(n) = ckpt_every {
             // 0 keeps the segment-directory layout but never rotates.
@@ -1049,18 +941,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let seed: u64 = args.flag("seed", 42)?;
     let structure = args.flag("structure", "matching".to_string())?;
     let compare = args.flag("compare", "direct".to_string())?;
-    let shards: usize = args.flag("shards", 1)?;
     if producers == 0 || per_producer == 0 {
         return Err("--producers and --updates must be positive".into());
-    }
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(format!("--shards must be in 1..={MAX_SHARDS}"));
-    }
-    if shards > 1 && structure != "matching" {
-        return Err(format!(
-            "--shards {shards} requires --structure matching (the sharded tier \
-             replicates the matcher; setcover is unsharded)"
-        ));
     }
     if !matches!(compare.as_str(), "direct" | "none") {
         return Err(format!("unknown --compare mode {compare:?}"));
@@ -1080,12 +962,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         ids_recycling: false,
     };
     let prof = profile_from_flags(args)?;
-    let wal = wal_from_flags(args, &meta, wal_sync, shards, "serve")?;
+    let wal = wal_from_flags(args, &meta, wal_sync, "serve")?;
     let wal_path = wal.as_ref().map(|w| w.path.clone());
     println!(
         "serve: {producers} producers x {per_producer} updates, {readers} readers, \
          max_batch={max_batch} max_delay={max_delay_us}us structure={structure} \
-         shards={shards} wal={} (fsync {})",
+         wal={} (fsync {})",
         wal_path
             .as_ref()
             .map(|p| p.display().to_string())
@@ -1101,27 +983,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let obs = prof.obs.clone();
         ProfilePrinter::spawn(every, move || Some(obs.snapshot()))
     });
-    let (total, seconds, latencies, stats, read, final_line, routing) = match structure.as_str() {
-        "matching" if shards > 1 => {
-            let (total, seconds, latencies, stats, read, m, routing) = serve_load_sharded(
-                seed,
-                shards,
-                producers,
-                per_producer,
-                readers,
-                policy,
-                wal,
-                prof.obs.clone(),
-            )?;
-            check_invariants(&m).map_err(|e| format!("post-serve invariants: {e}"))?;
-            let line = format!(
-                "final: epoch={} edges={} matching={}",
-                m.epoch(),
-                m.num_edges(),
-                m.matching_size()
-            );
-            (total, seconds, latencies, stats, read, line, Some(routing))
-        }
+    let (total, seconds, latencies, stats, read, final_line) = match structure.as_str() {
         "matching" => {
             let (total, seconds, latencies, stats, read, m) = serve_load(
                 DynamicMatching::with_seed(seed),
@@ -1140,7 +1002,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 m.num_edges(),
                 m.matching_size()
             );
-            (total, seconds, latencies, stats, read, line, None)
+            (total, seconds, latencies, stats, read, line)
         }
         "setcover" => {
             let (total, seconds, latencies, stats, read, c) = serve_load(
@@ -1161,7 +1023,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 c.matching_size(),
                 c.cover_size()
             );
-            (total, seconds, latencies, stats, read, line, None)
+            (total, seconds, latencies, stats, read, line)
         }
         other => return Err(format!("unknown structure {other:?}")),
     };
@@ -1203,9 +1065,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             stats.wal_batches,
             path.display()
         );
-    }
-    if let Some(routing) = &routing {
-        println!("{}", sharding_summary(routing));
     }
     print_profile(&prof.obs);
     println!("{final_line}");
@@ -1350,24 +1209,9 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
 /// segments — or force a full-history replay with `--from-genesis true`.
 /// Ends with the same byte-comparable `final:` line as single-file replay,
 /// so CI can diff checkpointed recovery against the full history.
-///
-/// A directory laid out as `shard-0 .. shard-(K-1)` (written by a
-/// `--shards K` daemon or serve run) is detected automatically and
-/// recovered through the K-way merge: per-shard checkpoints, the
-/// cross-shard consistency cut, and route-directed sub-batch merging.
-/// `--shards K` overrides the detection (0, the default, auto-detects).
 fn replay_dir(dir: &PathBuf, args: &Args) -> Result<(), String> {
     let from_genesis: bool = args.flag("from-genesis", false)?;
-    let shards_flag: usize = args.flag("shards", 0)?;
     let prof = profile_from_flags(args)?;
-    let shards = match shards_flag {
-        0 => detect_shards(dir),
-        1 => None,
-        k => Some(k),
-    };
-    if let Some(k) = shards {
-        return replay_sharded_dir(dir, k, from_genesis, &prof);
-    }
     let meta = oldest_segment_meta(dir)?;
     println!(
         "wal: segment directory {}, structure={} seed={}",
@@ -1437,65 +1281,6 @@ fn replay_dir(dir: &PathBuf, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Replay a `shard-0 .. shard-(K-1)` WAL directory through the K-way
-/// sharded recovery (read-only: torn tails are tolerated, never trimmed),
-/// verify all K recovered replicas agree, and print the same
-/// byte-comparable `final:` line as every other replay path.
-fn replay_sharded_dir(
-    dir: &Path,
-    k: usize,
-    from_genesis: bool,
-    prof: &ProfileOpts,
-) -> Result<(), String> {
-    let meta = oldest_segment_meta(&shard_dir(dir, 0))?;
-    if meta.structure != "matching" {
-        return Err(format!(
-            "sharded WAL records structure {:?}; only matching is sharded",
-            meta.structure
-        ));
-    }
-    println!(
-        "wal: sharded segment directory {} (K={k}), structure={} seed={}",
-        dir.display(),
-        meta.structure,
-        meta.seed
-    );
-    let start = std::time::Instant::now();
-    let rec = {
-        let _batch = prof.obs.span(Phase::Batch);
-        let _apply = prof.obs.span(Phase::Apply);
-        recover_sharded_matching(dir, k, from_genesis, false)?
-    };
-    prof.obs.add(Counter::Batches, rec.info.report.batches);
-    prof.obs.add(Counter::Updates, rec.info.report.updates);
-    print_recovery(&rec.info, start.elapsed());
-    let mut replicas = rec.shards;
-    let m = replicas.remove(0);
-    check_invariants(&m).map_err(|e| format!("recovered invariants: {e}"))?;
-    for (s, r) in replicas.iter().enumerate() {
-        if (r.epoch(), r.num_edges(), r.matching_size())
-            != (m.epoch(), m.num_edges(), m.matching_size())
-        {
-            return Err(format!(
-                "recovered shard {} disagrees with shard 0 (epoch {} vs {})",
-                s + 1,
-                r.epoch(),
-                m.epoch()
-            ));
-        }
-        check_invariants(r).map_err(|e| format!("recovered shard {} invariants: {e}", s + 1))?;
-    }
-    println!(
-        "final: epoch={} edges={} matching={}",
-        m.epoch(),
-        m.num_edges(),
-        m.matching_size()
-    );
-    print_profile(&prof.obs);
-    println!("invariants: ok ({k} shards agree)");
-    Ok(())
-}
-
 /// Print what directory recovery actually did: which checkpoint it started
 /// from (genesis when none was usable or `--from-genesis` forced it) and
 /// how much log it replayed past that point.
@@ -1556,12 +1341,8 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     let max_batch: usize = args.flag("max-batch", 1024)?;
     let max_delay_us: u64 = args.flag("max-delay-us", 0)?;
     let seed: u64 = args.flag("seed", 42)?;
-    let shards: usize = args.flag("shards", 1)?;
     if max_connections == 0 || max_inflight == 0 {
         return Err("--max-connections and --max-inflight must be positive".into());
-    }
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(format!("--shards must be in 1..={MAX_SHARDS}"));
     }
     let wal_sync: bool = args.flag("wal-sync", true)?;
     let meta = WalMeta {
@@ -1570,7 +1351,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
         ids_recycling: false,
     };
     let prof = profile_from_flags(args)?;
-    let wal = wal_from_flags(args, &meta, wal_sync, shards, "daemon")?;
+    let wal = wal_from_flags(args, &meta, wal_sync, "daemon")?;
     let wal_path = wal.as_ref().map(|w| w.path.clone());
     let cfg = DaemonConfig {
         addr: format!("{host}:{port}"),
@@ -1581,7 +1362,6 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
             max_delay: Duration::from_micros(max_delay_us),
         },
         wal,
-        shards,
         obs: prof.obs.clone(),
         ..Default::default()
     };
@@ -1616,8 +1396,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     println!("daemon: listening on {}", daemon.local_addr());
     println!(
         "daemon: max_connections={max_connections} max_inflight={max_inflight} \
-         max_batch={max_batch} max_delay={max_delay_us}us seed={seed} shards={shards} \
-         wal={} (fsync {})",
+         max_batch={max_batch} max_delay={max_delay_us}us seed={seed} wal={} (fsync {})",
         wal_path
             .as_ref()
             .map(|p| p.display().to_string())
@@ -1652,9 +1431,6 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
             report.service.wal_batches,
             path.display()
         );
-    }
-    if shards > 1 {
-        println!("{}", sharding_summary(&report.routing));
     }
     let m = &report.structure;
     println!(
@@ -1693,25 +1469,20 @@ fn cmd_load(args: &Args) -> Result<(), String> {
     let per_connection: usize = args.flag("updates", 2_500)?;
     let queries_per_window: usize = args.flag("queries", 8)?;
     let seed: u64 = args.flag("seed", 42)?;
-    let shards: usize = args.flag("shards", 1)?;
     let shutdown: bool = args.flag("shutdown", false)?;
     let prof = profile_from_flags(args)?;
     if connections == 0 || per_connection == 0 {
         return Err("--connections and --updates must be positive".into());
-    }
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(format!("--shards must be in 1..={MAX_SHARDS}"));
     }
     let cfg = LoadConfig {
         connections,
         per_connection,
         queries_per_window,
         seed,
-        shards,
     };
     println!(
         "load: {connections} connections x {per_connection} updates against {addr} \
-         (queries/window {queries_per_window}, seed {seed}, shard affinity K={shards})"
+         (queries/window {queries_per_window}, seed {seed})"
     );
     // With --profile interval=N, scrape the daemon's cumulative profile
     // over a fresh connection each interval and print the deltas.

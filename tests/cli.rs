@@ -306,6 +306,61 @@ fn replay_rejects_garbage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing WAL file"));
 }
 
+#[test]
+fn flags_a_subcommand_does_not_read_are_rejected() {
+    // A small real WAL, so `replay` would otherwise succeed on it.
+    let wal = tmpfile("unknown_flags.wal");
+    std::fs::remove_file(&wal).ok();
+    let small_serve = [
+        "serve",
+        "--producers",
+        "1",
+        "--updates",
+        "20",
+        "--readers",
+        "0",
+        "--compare",
+        "none",
+    ];
+    let mut args = small_serve.to_vec();
+    args.extend(["--wal", wal.to_str().unwrap(), "--wal-sync", "false"]);
+    let out = pbdmm(&args);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = pbdmm(&["replay", wal.to_str().unwrap()]);
+    assert!(out.status.success());
+
+    // The retired `--shards` and a misspelled `--wal-sync` must fail
+    // loudly, naming the flag, rather than run with the flag ignored.
+    let mut serve_shards = small_serve.to_vec();
+    serve_shards.extend(["--wal", "none", "--shards", "2"]);
+    let mut serve_typo = small_serve.to_vec();
+    serve_typo.extend(["--wal", "none", "--wal-synk", "true"]);
+    let cases: [(Vec<&str>, &str); 5] = [
+        (serve_shards, "--shards"),
+        (
+            vec!["replay", wal.to_str().unwrap(), "--shards", "2"],
+            "--shards",
+        ),
+        (serve_typo, "--wal-synk"),
+        (vec!["daemon", "--shards", "4"], "--shards"),
+        (vec!["load", "--port", "1", "--shards", "4"], "--shards"),
+    ];
+    for (args, flag) in cases {
+        let out = pbdmm(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&wal).ok();
+}
+
 /// Spawn `pbdmm daemon --port 0`, scan for its `daemon: listening on`
 /// line, and hand back the child for later harvest plus any preamble lines
 /// printed before it (e.g. the recovery report).
