@@ -1,8 +1,7 @@
 //! Substrate bench: the §2 parallel primitives the algorithm is built on —
-//! scan, filter, semisort/groupBy, random priorities, the batch dictionary.
+//! scan, filter, semisort/groupBy, random priorities, bucket sort.
 
 use pbdmm_bench::BenchGroup;
-use pbdmm_primitives::dict::ConcurrentU64Set;
 use pbdmm_primitives::permutation::random_priorities;
 use pbdmm_primitives::rng::SplitMix64;
 use pbdmm_primitives::scan::{exclusive_scan, filter};
@@ -28,13 +27,6 @@ fn main() {
     let mut rng = SplitMix64::new(5);
     group.bench(&format!("random_priorities/{n}"), Some(n as u64), || {
         random_priorities(n, &mut rng)
-    });
-
-    let keys: Vec<u64> = (0..n as u64).collect();
-    group.bench(&format!("dict_batch_insert/{n}"), Some(n as u64), || {
-        let mut s = ConcurrentU64Set::with_capacity(n);
-        s.batch_insert(&keys);
-        s
     });
 
     // Bucket sort vs comparison sort on random priorities (§3's expected-

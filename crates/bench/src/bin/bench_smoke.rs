@@ -157,10 +157,12 @@ fn coalesced_service_load(sync: bool, per_producer: usize, obs: &Recorder) {
             // the previous batch applies — no linger stalls.
             max_delay: Duration::ZERO,
         })
-        .wal_file(&wal_path, WalMeta::default())
+        .wal_dir(&wal_path, WalMeta::default())
         .wal_sync(sync)
         // Scratch log, rewritten on every sample of this run.
         .wal_truncate(true)
+        // One segment, no checkpoints: the appends are the measured cost.
+        .checkpoint_every(0)
         .obs(obs.clone())
         .start(DynamicMatching::with_seed(11))
         .expect("WAL in temp dir");
@@ -171,7 +173,7 @@ fn coalesced_service_load(sync: bool, per_producer: usize, obs: &Recorder) {
         }
     });
     let (m, _) = svc.shutdown();
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(&wal_path).ok();
     std::hint::black_box(m.matching_size());
 }
 
@@ -506,9 +508,10 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
                     max_batch: 512,
                     max_delay: Duration::ZERO,
                 })
-                .wal_file(&wal_path, WalMeta::default())
+                .wal_dir(&wal_path, WalMeta::default())
                 .wal_sync(false)
                 .wal_truncate(true)
+                .checkpoint_every(0)
                 .obs(obs.clone())
                 .start_serving(DynamicMatching::with_seed(11))
                 .expect("WAL in temp dir");
@@ -519,7 +522,7 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
                 }
             });
             svc.shutdown();
-            std::fs::remove_file(&wal_path).ok();
+            std::fs::remove_dir_all(&wal_path).ok();
         }
         let report = obs.snapshot();
         for phase in [

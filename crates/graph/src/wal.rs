@@ -306,8 +306,8 @@ fn parse_line(
     Ok(())
 }
 
-/// Parse a WAL from a file path.
-pub fn read_wal_file(path: &std::path::Path) -> Result<Wal, String> {
+/// Parse one WAL segment file (an `NNNNNN.seg` of a WAL directory).
+pub fn read_segment(path: &std::path::Path) -> Result<Wal, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("open {path:?}: {e}"))?;
     read_wal(std::io::BufReader::new(file))
 }

@@ -155,11 +155,10 @@ pub enum CostHint {
     /// `find_next`, tabulate).
     Light,
     /// Tens of ns/element: hashing, comparison sorting, branchy per-element
-    /// work (`semisort`, `sort`, dictionary phases).
+    /// work (`semisort`, `sort`).
     #[default]
     Medium,
-    /// ≥ ~100ns/element: user closures of unknown weight, per-item map/set
-    /// mutation (`par_consume` task sets).
+    /// ≥ ~100ns/element: user closures of unknown weight.
     Heavy,
 }
 

@@ -10,7 +10,6 @@
 //! * [`semisort`] — semisort-backed `groupBy`, `sumBy`, `removeDuplicates`;
 //! * [`sort`] — expected-linear bucket sort for uniformly random keys;
 //! * [`permutation`] — random permutations / random priorities;
-//! * [`dict`] — batch-parallel growable dictionaries;
 //! * [`mod@find_next`] — the doubling + binary search pointer-slide primitive;
 //! * [`hash`] — fast hashing for identifier keys;
 //! * [`rng`] — seedable splittable PRNGs (the algorithm's coins);
@@ -29,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod dict;
 pub mod find_next;
 pub mod hash;
 pub mod obs;
@@ -43,7 +41,6 @@ pub mod slab;
 pub mod sort;
 
 pub use cost::{CostHint, CostMeter, CostSnapshot};
-pub use dict::ConcurrentU64Set;
 pub use find_next::{find_next, find_next_in};
 pub use hash::{fx_hash, mix64, FxHashMap, FxHashSet};
 pub use obs::{Counter, Phase, ProfileReport, Recorder};

@@ -77,7 +77,7 @@ fn par_sorts_match_std_in_parallel() {
 }
 
 #[test]
-fn semisort_and_dict_agree_with_oracles_in_parallel() {
+fn semisort_agrees_with_oracles_in_parallel() {
     force_parallel();
     let mut rng = SplitMix64::new(99);
     let pairs: Vec<(u32, u32)> = (0..80_000)
@@ -97,17 +97,6 @@ fn semisort_and_dict_agree_with_oracles_in_parallel() {
     for (k, s) in sums {
         assert_eq!(oracle[&k], s);
     }
-
-    let keys: Vec<u64> = (0..120_000).map(|_| rng.bounded(30_000)).collect();
-    let mut dict = pbdmm_primitives::ConcurrentU64Set::new();
-    dict.batch_insert(&keys);
-    let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
-    assert_eq!(dict.len(), distinct.len());
-    let dels: Vec<u64> = (0..15_000u64).collect();
-    dict.batch_remove(&dels);
-    let survivors: std::collections::HashSet<u64> =
-        distinct.iter().copied().filter(|&k| k >= 15_000).collect();
-    assert_eq!(dict.len(), survivors.len());
 }
 
 #[test]

@@ -3,7 +3,6 @@
 //! obvious single-threaded computation. Cases are generated from fixed seeds
 //! (deterministic, reproducible) — a std-only stand-in for proptest.
 
-use pbdmm_primitives::dict::ConcurrentU64Set;
 use pbdmm_primitives::find_next::find_next_in;
 use pbdmm_primitives::permutation::{priorities_to_order, random_priorities};
 use pbdmm_primitives::rng::SplitMix64;
@@ -209,56 +208,5 @@ fn priorities_induce_uniform_support_permutation() {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..n as u32).collect::<Vec<_>>());
-    }
-}
-
-#[test]
-fn dict_agrees_with_hashset() {
-    let mut rng = SplitMix64::new(0xAB);
-    for _ in 0..cases() {
-        // Pre-size: single-item insert is a phase operation and does not
-        // grow the table (see the method docs).
-        let dict = ConcurrentU64Set::with_capacity(600);
-        let mut oracle = std::collections::HashSet::new();
-        let ops = arb_len(&mut rng, 2000);
-        for _ in 0..ops {
-            let insert = rng.bounded(2) == 0;
-            let key = rng.bounded(500);
-            if insert {
-                assert_eq!(dict.insert(key), oracle.insert(key));
-            } else {
-                assert_eq!(dict.remove(key), oracle.remove(&key));
-            }
-        }
-        assert_eq!(dict.len(), oracle.len());
-        for key in 0..500u64 {
-            assert_eq!(dict.contains(key), oracle.contains(&key));
-        }
-        let mut elems = dict.elements();
-        elems.sort_unstable();
-        let mut want: Vec<u64> = oracle.into_iter().collect();
-        want.sort_unstable();
-        assert_eq!(elems, want);
-    }
-}
-
-#[test]
-fn dict_batch_ops_agree_with_hashset() {
-    let mut rng = SplitMix64::new(0xAC);
-    for _ in 0..cases() {
-        let ins = arb_vec_u64(&mut rng, 3000, 2000);
-        let del = arb_vec_u64(&mut rng, 3000, 2000);
-        let mut dict = ConcurrentU64Set::new();
-        dict.batch_insert(&ins);
-        dict.batch_remove(&del);
-        let mut oracle: std::collections::HashSet<u64> = ins.iter().copied().collect();
-        for d in &del {
-            oracle.remove(d);
-        }
-        assert_eq!(dict.len(), oracle.len());
-        let member = dict.batch_contains(&(0..2000u64).collect::<Vec<_>>());
-        for (k, &m) in member.iter().enumerate() {
-            assert_eq!(m, oracle.contains(&(k as u64)), "key {}", k);
-        }
     }
 }

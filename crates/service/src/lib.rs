@@ -15,10 +15,9 @@
 //!    size/latency [`CoalescePolicy`] (flush at `max_batch` updates or
 //!    `max_delay` after the first, whichever first) and resolves conflicts
 //!    per the strict `apply` contract: deletions ordered before insertions,
-//!    in-batch duplicate deletes deduplicated, a delete of an edge inserted
-//!    by the same pending batch deferred to the next one, and individually
-//!    invalid updates (unknown id, empty vertex set) rejected without
-//!    poisoning the batch.
+//!    in-batch duplicate deletes deduplicated, and individually invalid
+//!    updates (unknown id, empty vertex set) rejected without poisoning the
+//!    batch.
 //! 3. **WAL** — the formed batch is appended to a durable write-ahead log
 //!    ([`pbdmm_graph::wal`], same line-based conventions as `graph::io`)
 //!    *before* it is applied, so a crash never loses an acknowledged batch.
@@ -38,7 +37,7 @@
 //! observed snapshot equals a sequential replay prefix of the WAL at its
 //! epoch (the property `tests/snapshots.rs` checks).
 //!
-//! [`replay`] reconstructs a structure from a recorded WAL
+//! [`replay`] reconstructs a structure from a recorded WAL directory
 //! deterministically — crash recovery and a trace-replay harness for
 //! benchmarking real update streams in one mechanism.
 //!
@@ -79,8 +78,8 @@ pub mod service;
 
 pub use coalesce::{plan_batch, BatchPlan, CoalescePolicy, Slot};
 pub use replay::{
-    recover_dir_with, recover_matching_from_dir, replay_into, replay_matching, replay_setcover,
-    Recovery, RecoveryInfo, ReplayReport,
+    recover_dir_with, recover_matching_from_dir, replay_into, wal_dir_meta, Recovery, RecoveryInfo,
+    ReplayReport,
 };
 pub use service::{
     Completion, Done, QueryHandle, ServiceBuilder, ServiceConfig, ServiceError, ServiceHandle,

@@ -1,9 +1,12 @@
 //! Deterministic WAL replay: rebuild a structure from a recorded log.
 //!
-//! Replay doubles as crash recovery (reconstruct the pre-crash state from
-//! the committed prefix) and as a trace-replay harness (drive any
-//! [`BatchDynamic`] with a real recorded update stream, e.g. for
-//! benchmarking).
+//! One log layout and one replay function serve both crash recovery
+//! (reconstruct the pre-crash state from the committed prefix) and trace
+//! replay (drive any [`BatchDynamic`] with a real recorded update stream,
+//! e.g. for benchmarking): a WAL is a directory of `NNNNNN.seg` segments and
+//! `NNNNNN.ckpt` checkpoints, [`recover_dir_with`] /
+//! [`recover_matching_from_dir`] rebuild a structure from it, and
+//! [`replay_into`] applies one decoded segment.
 //!
 //! Determinism argument: the WAL records committed batches in apply order;
 //! insertions carry no ids because the structure assigns them sequentially
@@ -14,82 +17,48 @@
 
 use std::path::{Path, PathBuf};
 
-use pbdmm_graph::update::Update;
-use pbdmm_graph::wal::{read_wal_file, Wal, WalMeta};
+use pbdmm_graph::wal::{read_segment, Wal, WalMeta};
 use pbdmm_matching::api::BatchDynamic;
 use pbdmm_matching::checkpoint::Checkpoint;
 use pbdmm_matching::DynamicMatching;
-use pbdmm_setcover::DynamicSetCover;
-
-use crate::coalesce::{plan_batch, Slot};
 
 /// What one replay did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayReport {
     /// Committed WAL batches consumed.
     pub batches: u64,
-    /// `apply` calls issued (≥ `batches`: a batch whose deletes
-    /// forward-reference its own inserts is split in two).
-    pub applies: u64,
     /// Updates applied.
     pub updates: u64,
-    /// Deletes deferred past their batch's inserts (see module docs).
-    pub deferred: u64,
 }
 
-/// Replay a decoded WAL into `s`, which must be **fresh** (no edges ever
-/// inserted — id assignment starts at 0) and seeded per the WAL metadata
-/// for exact reproduction.
+/// Replay a decoded WAL segment into `s`, applying each recorded batch
+/// exactly as logged.
 ///
-/// Batches are re-planned through the coalescer's conflict rules before
-/// applying, so a trace whose batch deletes an edge inserted by the same
-/// batch (possible in hand-written WALs — a live recorder never
-/// emits it) is split: inserts first, the forward-referencing deletes in a
-/// follow-up batch. That forward-reference classification predicts ids
-/// monotonically; a structure with deleted-id recycling replays any
-/// *recorded* log exactly (recycling is deterministic in apply order, and a
-/// live recorder only logs deletes of ids that are live at apply time), but
-/// hand-written forward-referencing traces are only supported for the
-/// default monotonic id assignment.
+/// Replay is strict: a live recorder logs only batches that applied, so
+/// any batch the structure rejects (unknown or duplicated delete, empty
+/// insert) is log corruption and fails the replay, naming the batch.
+///
+/// A segment with base 0 starts the log, so `s` must be **fresh** (no ids
+/// ever handed out — id assignment starts at 0) and seeded per the WAL
+/// metadata for exact reproduction. An empty target is checked up front;
+/// one that is empty but has handed out ids before is caught on the first
+/// insert-bearing batch, whose ids must be 0, 1, 2, … in either id mode.
+/// A later segment continues a structure that already holds the earlier
+/// history (a restored checkpoint plus the segments before it).
 pub fn replay_into<S: BatchDynamic>(s: &mut S, wal: &Wal) -> Result<ReplayReport, String> {
-    if s.num_edges() != 0 {
+    let genesis = wal.base == 0;
+    if genesis && s.num_edges() != 0 {
         return Err("replay target must be a fresh structure".into());
     }
     let mut report = ReplayReport::default();
-    // Ids are assigned sequentially from 0 in apply order; this counter
-    // predicts them, which is what lets the planner distinguish "created by
-    // this batch's inserts" from "plain unknown id". The prediction is
-    // verified on the first insert-bearing apply below: a fresh structure
-    // assigns 0, 1, 2, … there in either id mode, while one that is empty
-    // but has handed out ids before would silently shift every recorded
-    // delete onto the wrong edge. (Later applies are not checked — a
-    // recycling structure legitimately reuses freed ids from then on.)
-    let mut next_insert_id: u64 = 0;
-    let mut freshness_verified = false;
-    for (seq, batch) in wal.batches.iter().enumerate() {
-        let plan = plan_batch(
-            batch.as_slice().to_vec(),
-            |id| s.contains_edge(id),
-            |id| id.raw() >= next_insert_id,
-        );
-        for slot in &plan.slots {
-            match slot {
-                Slot::RejectUnknown(id) => {
-                    return Err(format!("batch {seq}: delete of unknown edge {id}"));
-                }
-                Slot::RejectEmpty => {
-                    return Err(format!("batch {seq}: insert with empty vertex set"));
-                }
-                _ => {}
-            }
-        }
-        let inserts = plan.batch.num_inserts() as u64;
-        if !plan.batch.is_empty() {
-            report.updates += plan.batch.len() as u64;
-            report.applies += 1;
+    let mut freshness_verified = !genesis;
+    for (i, batch) in wal.batches.iter().enumerate() {
+        let seq = wal.base + i as u64;
+        if !batch.is_empty() {
             let out = s
-                .apply(plan.batch)
+                .apply(batch.clone())
                 .map_err(|e| format!("batch {seq}: {e}"))?;
+            report.updates += batch.len() as u64;
             if !freshness_verified && !out.inserted.is_empty() {
                 for (k, id) in out.inserted.iter().enumerate() {
                     if id.raw() != k as u64 {
@@ -103,49 +72,9 @@ pub fn replay_into<S: BatchDynamic>(s: &mut S, wal: &Wal) -> Result<ReplayReport
                 freshness_verified = true;
             }
         }
-        next_insert_id += inserts;
-        if !plan.deferred.is_empty() {
-            // Forward-referencing deletes: their targets exist now. The
-            // follow-up goes through the planner again so duplicates among
-            // the deferred deletes coalesce instead of failing strict
-            // `apply` (merged traces can carry them).
-            let follow_ops: Vec<Update> = plan
-                .deferred
-                .iter()
-                .map(|&i| batch.as_slice()[i].clone())
-                .collect();
-            let follow = plan_batch(follow_ops, |id| s.contains_edge(id), |_| false);
-            for slot in &follow.slots {
-                if let Slot::RejectUnknown(id) = slot {
-                    return Err(format!("batch {seq}: delete of unknown edge {id}"));
-                }
-            }
-            if !follow.batch.is_empty() {
-                report.deferred += follow.batch.len() as u64;
-                report.updates += follow.batch.len() as u64;
-                report.applies += 1;
-                s.apply(follow.batch)
-                    .map_err(|e| format!("batch {seq} (deferred deletes): {e}"))?;
-            }
-        }
         report.batches += 1;
     }
     Ok(report)
-}
-
-/// Replay a WAL recorded over a [`DynamicMatching`]: builds a fresh
-/// structure with the WAL's seed and replays every committed batch.
-pub fn replay_matching(wal: &Wal) -> Result<(DynamicMatching, ReplayReport), String> {
-    let mut m = DynamicMatching::with_seed(wal.meta.seed);
-    let report = replay_into(&mut m, wal)?;
-    Ok((m, report))
-}
-
-/// Replay a WAL recorded over a [`DynamicSetCover`] (element updates).
-pub fn replay_setcover(wal: &Wal) -> Result<(DynamicSetCover, ReplayReport), String> {
-    let mut c = DynamicSetCover::with_seed(wal.meta.seed);
-    let report = replay_into(&mut c, wal)?;
-    Ok((c, report))
 }
 
 // ---------------------------------------------------------------------------
@@ -201,6 +130,20 @@ pub(crate) fn list_wal_dir(dir: &Path) -> Result<WalDirContents, String> {
     })
 }
 
+/// Header metadata of a WAL directory (structure kind, seed, id mode),
+/// read from its oldest segment. Every segment carries the same metadata
+/// (replay validates that), so one read tells which structure to rebuild.
+pub fn wal_dir_meta(dir: &Path) -> Result<WalMeta, String> {
+    let contents = list_wal_dir(dir)?;
+    let (_, oldest) = contents
+        .segments
+        .first()
+        .ok_or_else(|| format!("WAL dir {} contains no segments", dir.display()))?;
+    Ok(read_segment(oldest)
+        .map_err(|e| format!("{}: {e}", oldest.display()))?
+        .meta)
+}
+
 /// Outcome of [`recover_dir_with`]: the reconstructed structure plus what
 /// recovery actually did (which checkpoint it loaded, how much log it
 /// replayed).
@@ -220,8 +163,8 @@ pub struct Recovery<S> {
     pub report: ReplayReport,
     /// Metadata shared by every segment (validated for agreement).
     pub meta: WalMeta,
-    /// Whether the final segment ended in a torn append (dropped, exactly
-    /// like single-file replay).
+    /// Whether the final segment ended in a torn append (dropped: a batch
+    /// is committed only once its `c` line is on disk).
     pub truncated: bool,
 }
 
@@ -255,49 +198,6 @@ impl<S> Recovery<S> {
     }
 }
 
-/// Replay one already-decoded tail segment into a **non-fresh** structure.
-///
-/// Unlike [`replay_into`], the target carries prior state (a restored
-/// checkpoint plus earlier segments), so insert ids cannot be predicted
-/// here — and need not be: a live recorder only logs deletes of ids that
-/// were live when the batch applied, so a recorded segment never
-/// forward-references its own inserts. Any planner rejection is therefore
-/// log corruption, not a replayable quirk.
-fn replay_tail_into<S: BatchDynamic>(
-    s: &mut S,
-    wal: &Wal,
-    report: &mut ReplayReport,
-) -> Result<(), String> {
-    for (i, batch) in wal.batches.iter().enumerate() {
-        let seq = wal.base + i as u64;
-        let plan = plan_batch(
-            batch.as_slice().to_vec(),
-            |id| s.contains_edge(id),
-            |_| false,
-        );
-        for slot in &plan.slots {
-            match slot {
-                Slot::RejectUnknown(id) => {
-                    return Err(format!("batch {seq}: delete of unknown edge {id}"));
-                }
-                Slot::RejectEmpty => {
-                    return Err(format!("batch {seq}: insert with empty vertex set"));
-                }
-                _ => {}
-            }
-        }
-        debug_assert!(plan.deferred.is_empty(), "recorded logs never defer");
-        if !plan.batch.is_empty() {
-            report.updates += plan.batch.len() as u64;
-            report.applies += 1;
-            s.apply(plan.batch)
-                .map_err(|e| format!("batch {seq}: {e}"))?;
-        }
-        report.batches += 1;
-    }
-    Ok(())
-}
-
 /// Replay the contiguous run of segments starting at sequence `start` into
 /// `s`, validating filename/header agreement and segment contiguity.
 /// Returns `(next_seq, segments_replayed, truncated)`.
@@ -326,7 +226,7 @@ fn replay_segments_from<S: BatchDynamic>(
                 path.display()
             ));
         }
-        let wal = match read_wal_file(path) {
+        let wal = match read_segment(path) {
             Ok(wal) => wal,
             // An unreadable *final* segment is a torn rotation (crash while
             // the new segment file was being created): nothing committed can
@@ -358,7 +258,9 @@ fn replay_segments_from<S: BatchDynamic>(
                 path.display()
             ));
         }
-        replay_tail_into(s, &wal, report)?;
+        let r = replay_into(s, &wal)?;
+        report.batches += r.batches;
+        report.updates += r.updates;
         expected += wal.batches.len() as u64;
         replayed += 1;
         if wal.truncated {
@@ -404,16 +306,8 @@ where
     S: BatchDynamic + Checkpoint,
     F: FnMut() -> S,
 {
+    let meta = wal_dir_meta(dir)?;
     let contents = list_wal_dir(dir)?;
-    if contents.segments.is_empty() {
-        return Err(format!("WAL dir {} contains no segments", dir.display()));
-    }
-    // Metadata is identical across segments (validated during replay);
-    // read it once from the oldest.
-    let (_, oldest) = &contents.segments[0];
-    let meta = read_wal_file(oldest)
-        .map_err(|e| format!("{}: {e}", oldest.display()))?
-        .meta;
     let use_ckpts = !from_genesis && make().checkpoint_supported();
     if use_ckpts {
         for (seq, path) in contents.checkpoints.iter().rev() {
@@ -468,14 +362,7 @@ pub fn recover_matching_from_dir(
     dir: &Path,
     from_genesis: bool,
 ) -> Result<Recovery<DynamicMatching>, String> {
-    let contents = list_wal_dir(dir)?;
-    let (_, oldest) = contents
-        .segments
-        .first()
-        .ok_or_else(|| format!("WAL dir {} contains no segments", dir.display()))?;
-    let meta = read_wal_file(oldest)
-        .map_err(|e| format!("{}: {e}", oldest.display()))?
-        .meta;
+    let meta = wal_dir_meta(dir)?;
     if meta.structure != "matching" {
         return Err(format!(
             "WAL records structure {:?}, not a matching",
@@ -504,6 +391,7 @@ mod tests {
     use pbdmm_graph::update::Batch;
     use pbdmm_graph::wal::WalMeta;
     use pbdmm_matching::verify::check_invariants;
+    use pbdmm_setcover::DynamicSetCover;
 
     fn wal_of(batches: Vec<Batch>) -> Wal {
         Wal {
@@ -518,6 +406,12 @@ mod tests {
         }
     }
 
+    fn replay(wal: &Wal) -> Result<(DynamicMatching, ReplayReport), String> {
+        let mut m = DynamicMatching::with_seed(wal.meta.seed);
+        let report = replay_into(&mut m, wal)?;
+        Ok((m, report))
+    }
+
     #[test]
     fn replays_to_identical_state() {
         let batches = vec![
@@ -530,10 +424,9 @@ mod tests {
         for b in &batches {
             reference.apply(b.clone()).unwrap();
         }
-        let (replayed, report) = replay_matching(&wal_of(batches)).unwrap();
+        let (replayed, report) = replay(&wal_of(batches)).unwrap();
         assert_eq!(report.batches, 3);
         assert_eq!(report.updates, 7);
-        assert_eq!(report.deferred, 0);
         let mut a = reference.matching();
         let mut b = replayed.matching();
         a.sort_unstable();
@@ -558,53 +451,49 @@ mod tests {
     }
 
     #[test]
-    fn deferred_duplicate_deletes_coalesce() {
-        // `i 0 1; d 0; d 0`: both deletes forward-reference the batch's own
-        // insert and defer; the follow-up batch must deduplicate them
-        // instead of failing strict apply.
-        let batches = vec![Batch::new()
-            .insert(vec![0, 1])
-            .delete(EdgeId(0))
-            .delete(EdgeId(0))];
-        let (m, report) = replay_matching(&wal_of(batches)).unwrap();
-        assert_eq!(m.num_edges(), 0);
-        assert_eq!(report.deferred, 1);
-        assert_eq!(report.applies, 2);
-        check_invariants(&m).unwrap();
-    }
-
-    #[test]
-    fn defers_forward_referencing_deletes() {
-        // One hand-written batch inserting two edges and deleting the first
-        // of them (id 0 is assigned by this very batch): the replayer must
-        // split it rather than reject it.
-        let batches = vec![Batch::new()
-            .insert(vec![0, 1])
-            .delete(EdgeId(0))
-            .insert(vec![2, 3])];
-        let (m, report) = replay_matching(&wal_of(batches)).unwrap();
-        assert_eq!(report.deferred, 1);
-        assert_eq!(report.applies, 2);
-        assert_eq!(m.num_edges(), 1);
-        assert!(m.contains_edge(EdgeId(1)));
-        check_invariants(&m).unwrap();
-    }
-
-    #[test]
     fn rejects_unknown_ids_and_stale_targets() {
-        let err = replay_matching(&wal_of(vec![Batch::new().delete(EdgeId(5))])).unwrap_err();
+        let err = replay(&wal_of(vec![Batch::new().delete(EdgeId(5))])).unwrap_err();
         assert!(err.contains("unknown"), "{err}");
-        // A forward reference beyond the batch's own inserts is unknown too.
-        let err = replay_matching(&wal_of(vec![Batch::new()
+        // Replay is strict: a delete of an edge its own batch inserts is a
+        // forward reference no recorder writes, so it is unknown too.
+        let err = replay(&wal_of(vec![Batch::new()
             .insert(vec![0, 1])
-            .delete(EdgeId(7))]))
+            .delete(EdgeId(0))]))
         .unwrap_err();
-        assert!(err.contains("unknown"), "{err}");
+        assert!(err.contains("batch 0") && err.contains("unknown"), "{err}");
+        // So is a delete duplicated within one batch.
+        let err = replay(&wal_of(vec![
+            Batch::new().insert(vec![0, 1]),
+            Batch::new().delete(EdgeId(0)).delete(EdgeId(0)),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("batch 1") && err.contains("twice"), "{err}");
         // Fresh-structure precondition.
         let mut used = DynamicMatching::with_seed(1);
         used.insert_edges(&[vec![0, 1]]);
         let err = replay_into(&mut used, &wal_of(vec![])).unwrap_err();
         assert!(err.contains("fresh"), "{err}");
+    }
+
+    #[test]
+    fn wal_dir_meta_reads_the_numerically_oldest_segment() {
+        // `1000000.seg` sorts before `999999.seg` as a string; the header
+        // must come from the segment with the lower sequence number.
+        let dir = std::env::temp_dir().join(format!("pbdmm_wal_dir_meta_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        for (seq, seed) in [(999_999u64, 1u64), (1_000_000, 2)] {
+            let meta = WalMeta {
+                seed,
+                ..WalMeta::default()
+            };
+            let mut f = std::fs::File::create(segment_path(&dir, seq)).unwrap();
+            pbdmm_graph::wal::write_segment_header(&mut f, &meta, seq).unwrap();
+        }
+        assert_eq!(wal_dir_meta(&dir).unwrap().seed, 1);
+        std::fs::remove_dir_all(&dir).ok();
+        let err = wal_dir_meta(&dir).unwrap_err();
+        assert!(err.contains("read WAL dir"), "{err}");
     }
 
     #[test]
@@ -623,7 +512,8 @@ mod tests {
             batches,
             truncated: false,
         };
-        let (c, report) = replay_setcover(&wal).unwrap();
+        let mut c = DynamicSetCover::with_seed(wal.meta.seed);
+        let report = replay_into(&mut c, &wal).unwrap();
         assert_eq!(report.batches, 2);
         assert_eq!(c.num_elements(), 2);
         assert!(c.cover_size() > 0);

@@ -105,7 +105,7 @@ pub struct Completion {
     /// The epoch at which this update's batch became **visible** on the
     /// snapshot read path (shared by every ticket of the batch).
     ///
-    /// For a service started with [`UpdateService::start_serving`] this is
+    /// For a service started with [`ServiceBuilder::start_serving`] this is
     /// the *structure's* update count right after the batch applied (the
     /// service captures the structure's pre-existing epoch at start and
     /// offsets by it), and the snapshot carrying this batch is published
@@ -113,7 +113,7 @@ pub struct Completion {
     /// `wait()` returns never observes
     /// `QueryHandle::epoch() < completion.epoch`: read your writes.
     ///
-    /// For a plain [`UpdateService::start`] (no read path, so no
+    /// For a plain [`ServiceBuilder::start`] (no read path, so no
     /// `Snapshots` bound to ask the structure through) the base is 0:
     /// epochs then count updates applied *through this service*, which
     /// coincides with the structure's epoch exactly when the structure
@@ -209,7 +209,7 @@ pub struct ServiceStats {
     pub max_batch_len: usize,
     /// Batches appended to the WAL (0 when no WAL is configured).
     pub wal_batches: u64,
-    /// Checkpoints made durable (segmented WAL with a checkpoint interval).
+    /// Checkpoints made durable (WAL with a checkpoint interval).
     pub checkpoints: u64,
     /// Checkpoint writes that failed (the service keeps running — a missed
     /// checkpoint only means recovery replays a longer tail).
@@ -230,10 +230,14 @@ impl ServiceStats {
 }
 
 /// Durable-log configuration for an [`UpdateService`].
+///
+/// The log is a directory of numbered `NNNNNN.seg` files (each a
+/// self-contained WAL whose `# base:` header carries its first batch seq)
+/// plus `NNNNNN.ckpt` checkpoints at segment boundaries. Recovery loads the
+/// newest intact checkpoint and replays only the tail segments after it.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Where the log lives: a single append-only file ([`Self::new`]), or a
-    /// segment directory ([`Self::dir`]).
+    /// The segment directory.
     pub path: PathBuf,
     /// Header metadata — record the structure kind and seed so
     /// [`crate::replay`] can rebuild an identically-seeded instance.
@@ -241,46 +245,27 @@ pub struct WalConfig {
     /// `fsync` after every appended batch (durability against power loss,
     /// not just process crash). Default `false`: flush to the OS only.
     pub sync: bool,
-    /// Overwrite existing log content at `path`. Default `false`:
-    /// [`UpdateService::start`] refuses rather than silently destroying a
-    /// previous run's log — the artifact crash recovery depends on. Set it
-    /// only for scratch logs.
+    /// Overwrite existing log content at `path`. Default `false`: a fresh
+    /// start refuses rather than silently destroying a previous run's log —
+    /// the artifact crash recovery depends on. Set it only for scratch logs.
     pub truncate: bool,
-    /// Segmented directory mode: `path` is a directory of numbered
-    /// `NNNNNN.seg` files (each a self-contained WAL whose `# base:` header
-    /// carries its first batch seq) plus `NNNNNN.ckpt` checkpoints at
-    /// segment boundaries. Recovery loads the newest intact checkpoint and
-    /// replays only the tail segments after it.
-    pub segmented: bool,
-    /// Segmented mode: take a checkpoint (and rotate the segment) after at
-    /// least this many updates, provided the structure supports
-    /// checkpointing. `None` disables rotation — one segment, full-replay
-    /// recovery.
+    /// Take a checkpoint (and rotate the segment) after at least this many
+    /// updates, provided the structure supports checkpointing. `None`
+    /// disables rotation — one segment, full-replay recovery.
     pub checkpoint_every: Option<u64>,
 }
 
 impl WalConfig {
-    /// A flush-only (no fsync), overwrite-refusing single-file WAL at
-    /// `path` with the given metadata.
-    pub fn new(path: impl Into<PathBuf>, meta: WalMeta) -> Self {
+    /// A flush-only (no fsync), overwrite-refusing WAL directory at `path`
+    /// with checkpoint/compaction enabled at the default interval (see
+    /// [`WalConfig::DEFAULT_CHECKPOINT_EVERY`]).
+    pub fn dir(path: impl Into<PathBuf>, meta: WalMeta) -> Self {
         WalConfig {
             path: path.into(),
             meta,
             sync: false,
             truncate: false,
-            segmented: false,
-            checkpoint_every: None,
-        }
-    }
-
-    /// A segmented WAL directory at `path` with checkpoint/compaction
-    /// enabled at the default interval (see
-    /// [`WalConfig::DEFAULT_CHECKPOINT_EVERY`]).
-    pub fn dir(path: impl Into<PathBuf>, meta: WalMeta) -> Self {
-        WalConfig {
-            segmented: true,
             checkpoint_every: Some(Self::DEFAULT_CHECKPOINT_EVERY),
-            ..Self::new(path, meta)
         }
     }
 
@@ -309,9 +294,8 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// The one construction surface for services: configure policy, WAL
-    /// (single file or segment directory), fsync, checkpoint interval, and
-    /// scheduler, then call a terminal ([`ServiceBuilder::start`],
-    /// [`ServiceBuilder::start_serving`],
+    /// directory, fsync, checkpoint interval, and scheduler, then call a
+    /// terminal ([`ServiceBuilder::start`], [`ServiceBuilder::start_serving`],
     /// [`ServiceBuilder::recover_and_start_serving`], …) to get a running
     /// service — and, for the `serving` terminals, its [`QueryHandle`] — in
     /// one call.
@@ -341,7 +325,7 @@ pub struct ServiceBuilder {
     sync: bool,
     truncate: bool,
     /// `Some(override)` once [`Self::checkpoint_every`] was called;
-    /// otherwise the WAL mode's default stands.
+    /// otherwise the [`WalConfig`]'s own interval stands.
     checkpoint_every: Option<Option<u64>>,
     /// Phase recorder shared by the coalescer and the structure.
     obs: Recorder,
@@ -379,14 +363,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Log batches to a single append-only WAL file (no rotation, no
-    /// checkpoints; recovery replays the whole file).
-    pub fn wal_file(mut self, path: impl Into<PathBuf>, meta: WalMeta) -> Self {
-        self.wal = Some(WalConfig::new(path, meta));
-        self
-    }
-
-    /// Log batches to a segmented WAL directory with checkpointing and
+    /// Log batches to a WAL segment directory with checkpointing and
     /// compaction (see [`WalConfig::dir`]). Recovery loads the newest
     /// intact checkpoint and replays only the tail segments.
     pub fn wal_dir(mut self, path: impl Into<PathBuf>, meta: WalMeta) -> Self {
@@ -405,7 +382,7 @@ impl ServiceBuilder {
     }
 
     /// `fsync` each appended batch (default off: flush to the OS only).
-    /// Order-independent with respect to `wal_file` / `wal_dir`.
+    /// Order-independent with respect to `wal_dir`.
     pub fn wal_sync(mut self, sync: bool) -> Self {
         self.sync = sync;
         self
@@ -418,7 +395,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Segmented mode: checkpoint + rotate after at least this many
+    /// Checkpoint + rotate the WAL segment after at least this many
     /// updates; `0` disables checkpointing (one segment, full-replay
     /// recovery). Default: [`WalConfig::DEFAULT_CHECKPOINT_EVERY`].
     pub fn checkpoint_every(mut self, updates: u64) -> Self {
@@ -454,10 +431,18 @@ impl ServiceBuilder {
         UpdateService::start_inner(structure, config, 0, 0, ckpt_fn)
     }
 
-    /// Terminal: start the service with the snapshot read path enabled,
-    /// returning the running service and its [`QueryHandle`] in one call.
-    /// Ordering guarantee as before: a batch's snapshot publishes before
-    /// its tickets complete (read-your-writes).
+    /// Terminal: start the service **with the snapshot read path
+    /// enabled**: the structure publishes an epoch-versioned snapshot after
+    /// every applied batch (and once immediately, so readers never find the
+    /// cell empty), and the returned [`QueryHandle`] — cloneable across any
+    /// number of reader threads — resolves queries against the latest one
+    /// without blocking the coalescer.
+    ///
+    /// Ordering guarantee: a batch's snapshot is published *before* its
+    /// tickets complete, so after `ticket.wait()` returns a completion `c`,
+    /// `query.epoch() >= c.epoch` always holds (read-your-writes), and
+    /// every published epoch equals the prefix of the apply history (= the
+    /// WAL) it reflects.
     pub fn start_serving<S>(
         self,
         mut structure: S,
@@ -467,6 +452,10 @@ impl ServiceBuilder {
     {
         let config = self.config();
         let ckpt_fn = ckpt_fn_for(&config, &structure);
+        // Capture the pre-service epoch: `seq` numbers count updates
+        // applied *through this service*, while epochs count updates ever
+        // applied to the structure — they coincide exactly when the
+        // structure starts fresh, and differ by this base otherwise.
         let epoch_base = structure.epoch();
         let reader = structure.enable_snapshots();
         let svc = UpdateService::start_inner(structure, config, epoch_base, 0, ckpt_fn)?;
@@ -524,11 +513,6 @@ impl ServiceBuilder {
                 "recovery requires a WAL directory (ServiceBuilder::wal_dir)".into(),
             ));
         };
-        if !wal.segmented {
-            return Err(ServiceError::Wal(
-                "recovery requires a segmented WAL directory, not a single-file WAL".into(),
-            ));
-        }
         if wal.truncate {
             return Err(ServiceError::Wal(
                 "recover + truncate are contradictory: truncate destroys the log \
@@ -566,11 +550,11 @@ impl ServiceBuilder {
 }
 
 /// The checkpoint serializer for this configuration, or `None` when the
-/// WAL is absent/unsegmented, checkpointing is disabled, or the structure
-/// does not support it.
+/// WAL is absent, checkpointing is disabled, or the structure does not
+/// support it.
 fn ckpt_fn_for<S: Checkpoint>(config: &ServiceConfig, structure: &S) -> Option<CkptFn<S>> {
     let wal = config.wal.as_ref()?;
-    if !wal.segmented || wal.checkpoint_every.is_none() || !structure.checkpoint_supported() {
+    if wal.checkpoint_every.is_none() || !structure.checkpoint_supported() {
         return None;
     }
     Some(Box::new(|s: &S| {
@@ -600,8 +584,15 @@ struct CkptJob {
     payload: Vec<u8>,
 }
 
-/// Segment-directory state of a [`WalSink`] (absent in single-file mode).
-struct SegmentedState {
+/// The write side of the WAL: the current segment behind a buffered
+/// writer, the append-before-apply rule, and rotation at checkpoint
+/// boundaries.
+struct WalSink {
+    w: std::io::BufWriter<std::fs::File>,
+    sync: bool,
+    /// Global batch sequence the next append gets (continues across
+    /// segments and, after recovery, across process restarts).
+    seq: u64,
     dir: PathBuf,
     meta: WalMeta,
     checkpoint_every: Option<u64>,
@@ -613,7 +604,7 @@ struct SegmentedState {
     ckpt_join: Option<JoinHandle<()>>,
 }
 
-impl Drop for SegmentedState {
+impl Drop for WalSink {
     fn drop(&mut self) {
         // Disconnect first so the writer drains its queue and exits, then
         // wait for the in-flight checkpoint to reach disk — shutdown must
@@ -625,52 +616,14 @@ impl Drop for SegmentedState {
     }
 }
 
-/// The write side of the WAL: buffered file + the append-before-apply rule.
-/// In segmented mode `w` is the current segment, rotated at checkpoint
-/// boundaries.
-struct WalSink {
-    w: std::io::BufWriter<std::fs::File>,
-    sync: bool,
-    /// Global batch sequence the next append gets (continues across
-    /// segments and, after recovery, across process restarts).
-    seq: u64,
-    seg: Option<SegmentedState>,
-}
-
 impl WalSink {
-    fn open(cfg: &WalConfig) -> Result<Self, ServiceError> {
-        if !cfg.truncate {
-            if let Ok(md) = std::fs::metadata(&cfg.path) {
-                if md.len() > 0 {
-                    return Err(ServiceError::Wal(format!(
-                        "refusing to overwrite existing WAL {:?} — replay or move it, \
-                         pick another path, or set WalConfig::truncate",
-                        cfg.path
-                    )));
-                }
-            }
-        }
-        let file = std::fs::File::create(&cfg.path)
-            .map_err(|e| ServiceError::Wal(format!("create {:?}: {e}", cfg.path)))?;
-        let mut w = std::io::BufWriter::new(file);
-        wal::write_header(&mut w, &cfg.meta)
-            .and_then(|()| w.flush())
-            .map_err(|e| ServiceError::Wal(format!("write header: {e}")))?;
-        Ok(WalSink {
-            w,
-            sync: cfg.sync,
-            seq: 0,
-            seg: None,
-        })
-    }
-
     /// Open a segment directory for appending, continuing the global batch
     /// sequence at `resume_seq` (0 for a fresh log; the recovered batch
     /// count when the caller just recovered from this directory). A new
     /// segment `resume_seq.seg` is always started: appending to a possibly
     /// torn previous segment is never attempted, and by definition no
     /// committed batch lives at or past `resume_seq`.
-    fn open_dir(
+    fn open(
         cfg: &WalConfig,
         resume_seq: u64,
         checkpointing: bool,
@@ -717,22 +670,20 @@ impl WalSink {
             w,
             sync: cfg.sync,
             seq: resume_seq,
-            seg: Some(SegmentedState {
-                dir: cfg.path.clone(),
-                meta: cfg.meta.clone(),
-                checkpoint_every: cfg.checkpoint_every,
-                updates_since_ckpt: 0,
-                ckpt_tx,
-                ckpt_join,
-            }),
+            dir: cfg.path.clone(),
+            meta: cfg.meta.clone(),
+            checkpoint_every: cfg.checkpoint_every,
+            updates_since_ckpt: 0,
+            ckpt_tx,
+            ckpt_join,
         })
     }
 
-    /// Post-apply hook: in segmented mode, count `updates` toward the
-    /// checkpoint interval and — when it is reached — serialize the
-    /// structure (in-memory, on the coalescer), rotate to a fresh segment,
-    /// and hand the payload to the checkpoint writer thread, which makes it
-    /// durable and compacts old segments without ever stalling this thread.
+    /// Post-apply hook: count `updates` toward the checkpoint interval and —
+    /// when it is reached — serialize the structure (in-memory, on the
+    /// coalescer), rotate to a fresh segment, and hand the payload to the
+    /// checkpoint writer thread, which makes it durable and compacts old
+    /// segments without ever stalling this thread.
     ///
     /// Serialization failure only skips the checkpoint (recovery replays a
     /// longer tail); rotation I/O failure is a real WAL error.
@@ -743,17 +694,12 @@ impl WalSink {
         ckpt: Option<&CkptFn<S>>,
         stats: &CkptStats,
     ) -> Result<(), ServiceError> {
-        let Some(seg) = self.seg.as_mut() else {
+        let (Some(every), Some(ckpt), Some(tx)) = (self.checkpoint_every, ckpt, &self.ckpt_tx)
+        else {
             return Ok(());
         };
-        let (Some(every), Some(ckpt)) = (seg.checkpoint_every, ckpt) else {
-            return Ok(());
-        };
-        if seg.ckpt_tx.is_none() {
-            return Ok(());
-        }
-        seg.updates_since_ckpt += updates;
-        if seg.updates_since_ckpt < every {
+        self.updates_since_ckpt += updates;
+        if self.updates_since_ckpt < every {
             return Ok(());
         }
         // The payload is the state after exactly `self.seq` batches — the
@@ -762,28 +708,26 @@ impl WalSink {
             Ok(p) => p,
             Err(_) => {
                 stats.failures.fetch_add(1, Ordering::Relaxed);
-                seg.updates_since_ckpt = 0;
+                self.updates_since_ckpt = 0;
                 return Ok(());
             }
         };
-        let seg_path = segment_path(&seg.dir, self.seq);
+        let seg_path = segment_path(&self.dir, self.seq);
         let next = std::fs::File::create(&seg_path)
             .map_err(|e| ServiceError::Wal(format!("rotate to {seg_path:?}: {e}")))?;
         let mut next_w = std::io::BufWriter::new(next);
-        wal::write_segment_header(&mut next_w, &seg.meta, self.seq)
+        wal::write_segment_header(&mut next_w, &self.meta, self.seq)
             .and_then(|()| next_w.flush())
-            .and_then(|()| fsync_dir(&seg.dir))
+            .and_then(|()| fsync_dir(&self.dir))
             .map_err(|e| ServiceError::Wal(format!("write segment header: {e}")))?;
         // Retire the old segment: everything in it is already flushed per
         // append (and fsynced if `sync`); nothing further is owed to it.
         self.w = next_w;
-        seg.updates_since_ckpt = 0;
-        if let Some(tx) = &seg.ckpt_tx {
-            let _ = tx.send(CkptJob {
-                seq: self.seq,
-                payload,
-            });
-        }
+        self.updates_since_ckpt = 0;
+        let _ = tx.send(CkptJob {
+            seq: self.seq,
+            payload,
+        });
         Ok(())
     }
 
@@ -1017,18 +961,9 @@ impl<T: Snapshot> QueryHandle<T> {
 }
 
 impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
-    /// Start the service: spawns the coalescer thread, which takes
-    /// ownership of `structure` (get it back from [`Self::shutdown`]).
-    /// Fails only if the WAL cannot be created.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ServiceConfig::builder().start(structure) — the builder is the \
-                one construction surface and enables checkpointing on segmented WALs"
-    )]
-    pub fn start(structure: S, config: ServiceConfig) -> Result<Self, ServiceError> {
-        Self::start_inner(structure, config, 0, 0, None)
-    }
-
+    /// Spawn the coalescer thread, which takes ownership of `structure`
+    /// (get it back from [`Self::shutdown`]). Fails only if the WAL cannot
+    /// be opened.
     fn start_inner(
         mut structure: S,
         config: ServiceConfig,
@@ -1041,13 +976,12 @@ impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
         structure.set_obs(config.obs.clone());
         let ckpt_stats = Arc::new(CkptStats::default());
         let wal_sink = match &config.wal {
-            Some(cfg) if cfg.segmented => Some(WalSink::open_dir(
+            Some(cfg) => Some(WalSink::open(
                 cfg,
                 resume_seq,
                 ckpt_fn.is_some(),
                 Arc::clone(&ckpt_stats),
             )?),
-            Some(cfg) => Some(WalSink::open(cfg)?),
             None => None,
         };
         let (tx, rx) = mpsc::channel();
@@ -1063,40 +997,6 @@ impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
             tx: Some(tx),
             join: Some(join),
         })
-    }
-
-    /// Start the service **with the snapshot read path enabled**: the
-    /// structure publishes an epoch-versioned snapshot after every applied
-    /// batch (and once immediately, so readers never find the cell empty),
-    /// and the returned [`QueryHandle`] — cloneable across any number of
-    /// reader threads — resolves queries against the latest one without
-    /// blocking the coalescer.
-    ///
-    /// Ordering guarantee: a batch's snapshot is published *before* its
-    /// tickets complete, so after `ticket.wait()` returns a completion `c`,
-    /// `query.epoch() >= c.epoch` always holds (read-your-writes), and
-    /// every published epoch equals the prefix of the apply history (= the
-    /// WAL) it reflects.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ServiceConfig::builder().start_serving(structure) — the builder is \
-                the one construction surface and enables checkpointing on segmented WALs"
-    )]
-    pub fn start_serving(
-        mut structure: S,
-        config: ServiceConfig,
-    ) -> Result<(Self, QueryHandle<S::Snap>), ServiceError>
-    where
-        S: Snapshots,
-    {
-        // Capture the pre-service epoch: `seq` numbers count updates
-        // applied *through this service*, while epochs count updates ever
-        // applied to the structure — they coincide exactly when the
-        // structure starts fresh, and differ by this base otherwise.
-        let epoch_base = structure.epoch();
-        let reader = structure.enable_snapshots();
-        let svc = Self::start_inner(structure, config, epoch_base, 0, None)?;
-        Ok((svc, QueryHandle { reader }))
     }
 
     /// A new producer handle. Handles are cheap to clone and `Send`; the
@@ -1250,12 +1150,8 @@ fn coalescer_loop<S: BatchDynamic>(
         let _batch_span = obs.span(Phase::Batch);
 
         // --- Plan: conflict resolution per the apply contract ------------
-        // Live ingress cannot name an id before its insert commits, so
-        // `created_here` is constantly false here; replay uses the planner
-        // with a real predictor (see `crate::replay`).
         let plan_span = obs.span(Phase::Plan);
-        let plan = plan_batch(ops, |id| s.contains_edge(id), |_| false);
-        debug_assert!(plan.deferred.is_empty(), "live ingress cannot defer");
+        let plan = plan_batch(ops, |id| s.contains_edge(id));
         // The batch's delete prefix, for slot → completion mapping below.
         let delete_ids: Vec<EdgeId> = plan
             .batch
@@ -1283,8 +1179,7 @@ fn coalescer_loop<S: BatchDynamic>(
                     stats.rejected += 1;
                     let _ = tx.send(Err(ServiceError::EmptyEdge));
                 }
-                Slot::Deferred => unreachable!("live ingress cannot defer"),
-                Slot::InBatch(_) | Slot::DuplicateDelete(_) => waiting.push((tx, slot)),
+                Slot::InBatch(_) | Slot::DuplicateDelete { .. } => waiting.push((tx, slot)),
             }
         }
         drop(plan_span);
@@ -1363,7 +1258,7 @@ fn coalescer_loop<S: BatchDynamic>(
         };
         drop(apply_span);
 
-        // --- Checkpoint accounting (segmented WAL only) -------------------
+        // --- Checkpoint accounting -----------------------------------------
         // The batch is durable and applied; fold it into the checkpoint
         // interval, rotating + scheduling a checkpoint at the boundary.
         // A rotation failure wedges the WAL like any other log I/O failure
@@ -1415,20 +1310,16 @@ fn coalescer_loop<S: BatchDynamic>(
                         done,
                     })
                 }
-                Slot::DuplicateDelete(id) => {
+                Slot::DuplicateDelete { id, pos } => {
                     stats.dup_deletes += 1;
                     // Share the seq of the delete holding the slot.
-                    let pos = delete_ids
-                        .iter()
-                        .position(|d| *d == id)
-                        .expect("duplicate of a planned delete");
                     Ok(Completion {
                         seq: batch_base + pos as u64,
                         epoch: visible_epoch,
                         done: Done::AlreadyDeleted(id),
                     })
                 }
-                Slot::RejectUnknown(_) | Slot::RejectEmpty | Slot::Deferred => {
+                Slot::RejectUnknown(_) | Slot::RejectEmpty => {
                     unreachable!("resolved before the batch stage")
                 }
             };
@@ -1649,23 +1540,6 @@ mod tests {
         svc.shutdown();
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_work() {
-        // The pre-builder surface stays functional (no checkpointing).
-        let svc =
-            UpdateService::start(DynamicMatching::with_seed(20), ServiceConfig::default()).unwrap();
-        svc.handle().insert(vec![0, 1]).wait().unwrap();
-        let (m, _) = svc.shutdown();
-        assert_eq!(m.num_edges(), 1);
-        let (svc, q) =
-            UpdateService::start_serving(DynamicMatching::with_seed(21), ServiceConfig::default())
-                .unwrap();
-        svc.handle().insert(vec![0, 1]).wait().unwrap();
-        assert!(q.snapshot().is_matched(0));
-        svc.shutdown();
-    }
-
     fn temp_wal_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(name);
         std::fs::remove_dir_all(&dir).ok();
@@ -1709,6 +1583,46 @@ mod tests {
             Snapshots::snapshot(&m),
             "recovered state must equal the served state exactly"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wal_failure_fail_stops_and_keeps_the_committed_prefix() {
+        const K: u32 = 5;
+        let dir = temp_wal_dir("pbdmm_svc_seg_failstop");
+        let svc = ServiceConfig::builder()
+            .policy(CoalescePolicy::singleton())
+            .wal_dir(&dir, meta(36))
+            .checkpoint_every(u64::from(K))
+            .start(DynamicMatching::with_seed(36))
+            .unwrap();
+        // A directory squatting on the name of the segment the rotation
+        // after batch K creates makes that `File::create` fail.
+        std::fs::create_dir(segment_path(&dir, u64::from(K))).unwrap();
+        let h = svc.handle();
+        for v in 0..K {
+            h.insert(vec![2 * v, 2 * v + 1]).wait().unwrap();
+        }
+        // The log is wedged: every later update is refused, none applied.
+        for v in K..K + 4 {
+            let refused = h.insert(vec![2 * v, 2 * v + 1]).wait();
+            assert!(matches!(refused, Err(ServiceError::Wal(_))), "{refused:?}");
+        }
+        assert!(matches!(
+            h.delete(EdgeId(0)).wait(),
+            Err(ServiceError::Wal(_))
+        ));
+        drop(h);
+        let (m, stats) = svc.shutdown();
+        assert_eq!(m.num_edges(), K as usize);
+        assert_eq!(stats.updates, u64::from(K));
+        assert_eq!(stats.wal_batches, u64::from(K));
+        // Recovery reproduces exactly the K committed batches; the
+        // unreadable last "segment" is reported as a torn tail.
+        let rec = crate::replay::recover_matching_from_dir(&dir, false).unwrap();
+        assert_eq!(rec.next_seq, u64::from(K));
+        assert!(rec.truncated);
+        assert_eq!(Snapshots::snapshot(&rec.structure), Snapshots::snapshot(&m));
         std::fs::remove_dir_all(&dir).ok();
     }
 

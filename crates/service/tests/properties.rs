@@ -20,11 +20,13 @@ use std::time::Duration;
 
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::update::{Batch, Update};
-use pbdmm_graph::wal::{read_wal_file, WalMeta};
+use pbdmm_graph::wal::WalMeta;
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{CoalescePolicy, Done, ServiceConfig, ServiceHandle};
+use pbdmm_service::{
+    recover_matching_from_dir, CoalescePolicy, Done, ServiceConfig, ServiceHandle,
+};
 
 /// Live edges as id → vertex set (the state that must linearize).
 fn live_edges(m: &DynamicMatching) -> BTreeMap<u64, Vec<u32>> {
@@ -78,16 +80,16 @@ fn producer_load(
 #[test]
 fn concurrent_interleavings_linearize_and_replay() {
     for seed in [1u64, 2, 3] {
-        let wal_path = std::env::temp_dir().join(format!("pbdmm_service_prop_{seed}.wal"));
-        std::fs::remove_file(&wal_path).ok(); // the service refuses to overwrite
+        let wal_dir = std::env::temp_dir().join(format!("pbdmm_service_prop_{seed}.waldir"));
+        std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
         let structure_seed = 0xC0A1E5CE ^ seed;
         let svc = ServiceConfig::builder()
             .policy(CoalescePolicy {
                 max_batch: 48,
                 max_delay: Duration::from_micros(300),
             })
-            .wal_file(
-                &wal_path,
+            .wal_dir(
+                &wal_dir,
                 WalMeta {
                     structure: "matching".into(),
                     seed: structure_seed,
@@ -149,13 +151,12 @@ fn concurrent_interleavings_linearize_and_replay() {
         check_invariants(&sequential).unwrap();
 
         // --- WAL replay: exact state reproduction, matching included.
-        let wal = read_wal_file(&wal_path).unwrap();
-        assert!(!wal.truncated);
-        assert_eq!(wal.meta.seed, structure_seed);
-        assert_eq!(wal.total_updates() as u64, stats.updates);
-        let (replayed, report) = pbdmm_service::replay_matching(&wal).unwrap();
-        assert_eq!(report.updates, stats.updates);
-        assert_eq!(report.batches, stats.wal_batches);
+        let rec = recover_matching_from_dir(&wal_dir, true).unwrap();
+        assert!(!rec.truncated);
+        assert_eq!(rec.meta.seed, structure_seed);
+        assert_eq!(rec.report.updates, stats.updates);
+        assert_eq!(rec.report.batches, stats.wal_batches);
+        let replayed = rec.structure;
         assert_eq!(live_edges(&replayed), live_edges(&served));
         assert_eq!(
             sorted_matching(&replayed),
@@ -164,22 +165,22 @@ fn concurrent_interleavings_linearize_and_replay() {
         );
         assert_eq!(replayed.matching_size(), served.matching_size());
         check_invariants(&replayed).unwrap();
-        std::fs::remove_file(&wal_path).ok();
+        std::fs::remove_dir_all(&wal_dir).ok();
     }
 }
 
 #[test]
 fn wal_replay_is_deterministic_across_runs() {
-    // Replaying the same file twice gives byte-identical state summaries.
-    let wal_path = std::env::temp_dir().join("pbdmm_service_determinism.wal");
-    std::fs::remove_file(&wal_path).ok(); // the service refuses to overwrite
+    // Replaying the same log twice gives byte-identical state summaries.
+    let wal_dir = std::env::temp_dir().join("pbdmm_service_determinism.waldir");
+    std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
     let svc = ServiceConfig::builder()
         .policy(CoalescePolicy {
             max_batch: 32,
             max_delay: Duration::from_micros(200),
         })
-        .wal_file(
-            &wal_path,
+        .wal_dir(
+            &wal_dir,
             WalMeta {
                 structure: "matching".into(),
                 seed: 77,
@@ -194,14 +195,13 @@ fn wal_replay_is_deterministic_across_runs() {
     drop(h);
     let (served, _) = svc.shutdown();
 
-    let wal = read_wal_file(&wal_path).unwrap();
-    let (a, _) = pbdmm_service::replay_matching(&wal).unwrap();
-    let (b, _) = pbdmm_service::replay_matching(&wal).unwrap();
+    let a = recover_matching_from_dir(&wal_dir, true).unwrap().structure;
+    let b = recover_matching_from_dir(&wal_dir, true).unwrap().structure;
     assert_eq!(live_edges(&a), live_edges(&b));
     assert_eq!(sorted_matching(&a), sorted_matching(&b));
     assert_eq!(live_edges(&a), live_edges(&served));
     assert_eq!(sorted_matching(&a), sorted_matching(&served));
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(&wal_dir).ok();
 }
 
 #[test]

@@ -18,14 +18,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pbdmm_graph::edge::EdgeId;
-use pbdmm_graph::wal::{read_wal_file, Wal, WalMeta};
+use pbdmm_graph::wal::{read_segment, Wal, WalMeta};
 use pbdmm_matching::snapshot::{MatchingSnapshot, Snapshots};
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{
-    replay_matching, CoalescePolicy, Done, QueryHandle, ServiceConfig, ServiceHandle,
-};
+use pbdmm_service::{replay_into, CoalescePolicy, Done, QueryHandle, ServiceConfig, ServiceHandle};
 
 /// One producer of the mixed load: inserts and deletes of its own ids,
 /// asserting read-your-writes against `q` after every completed ticket.
@@ -83,29 +81,32 @@ fn replay_prefix(wal: &Wal, prefix_updates: u64) -> DynamicMatching {
         batches,
         truncated: false,
     };
-    let (m, _) = replay_matching(&prefix).expect("prefix replays");
+    let mut m = DynamicMatching::with_seed(wal.meta.seed);
+    replay_into(&mut m, &prefix).expect("prefix replays");
     m
 }
 
 #[test]
 fn observed_snapshots_equal_wal_replay_prefixes() {
     for seed in [1u64, 2, 3] {
-        let wal_path = std::env::temp_dir().join(format!("pbdmm_snap_prefix_{seed}.wal"));
-        std::fs::remove_file(&wal_path).ok(); // the service refuses to overwrite
+        let wal_dir = std::env::temp_dir().join(format!("pbdmm_snap_prefix_{seed}.waldir"));
+        std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
         let structure_seed = 0x5EED ^ seed;
         let (svc, q) = ServiceConfig::builder()
             .policy(CoalescePolicy {
                 max_batch: 32,
                 max_delay: Duration::from_micros(200),
             })
-            .wal_file(
-                &wal_path,
+            .wal_dir(
+                &wal_dir,
                 WalMeta {
                     structure: "matching".into(),
                     seed: structure_seed,
                     ids_recycling: false,
                 },
             )
+            // One segment: the whole history stays in `000000.seg`.
+            .checkpoint_every(0)
             .start_serving(DynamicMatching::with_seed(structure_seed))
             .unwrap();
 
@@ -152,7 +153,7 @@ fn observed_snapshots_equal_wal_replay_prefixes() {
         // Every observed snapshot ≡ the sequential WAL replay prefix at
         // its epoch — snapshots only ever expose committed batch
         // boundaries of the durable history.
-        let wal = read_wal_file(&wal_path).unwrap();
+        let wal = read_segment(&wal_dir.join("000000.seg")).unwrap();
         assert!(!wal.truncated);
         let observed = observed.into_inner().unwrap();
         assert!(
@@ -168,7 +169,7 @@ fn observed_snapshots_equal_wal_replay_prefixes() {
                 "seed {seed}: snapshot at epoch {epoch} must equal its WAL prefix replay"
             );
         }
-        std::fs::remove_file(&wal_path).ok();
+        std::fs::remove_dir_all(&wal_dir).ok();
     }
 }
 

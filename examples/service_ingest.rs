@@ -7,28 +7,29 @@
 //! cargo run --release --example service_ingest
 //! ```
 
-use pbdmm::graph::wal::{read_wal_file, WalMeta};
+use pbdmm::graph::wal::WalMeta;
 use pbdmm::matching::verify::check_invariants;
 use pbdmm::primitives::rng::SplitMix64;
-use pbdmm::service::{replay_matching, Done, ServiceConfig};
+use pbdmm::service::{recover_matching_from_dir, Done, ServiceConfig};
 use pbdmm::{DynamicMatching, EdgeId};
 
 fn main() {
-    let wal_path = std::env::temp_dir().join("pbdmm_service_ingest_example.wal");
+    let wal_dir = std::env::temp_dir().join("pbdmm_service_ingest_example.waldir");
     // The service refuses to overwrite an existing WAL (it may be the only
-    // copy of a crashed run's data); this one is the example's scratch file.
-    std::fs::remove_file(&wal_path).ok();
+    // copy of a crashed run's data); this one is the example's scratch dir.
+    std::fs::remove_dir_all(&wal_dir).ok();
     let seed = 42;
 
     // 1. Start the service through the builder: it takes ownership of the
     //    structure; producers talk to it through cloneable handles. Every
-    //    formed batch is appended to the WAL before it is applied.
+    //    formed batch is appended to the WAL directory's current segment
+    //    before it is applied.
     //    `start_serving` (vs plain `start`) also enables the snapshot read
     //    path and hands back a QueryHandle — see
     //    examples/concurrent_queries.rs for the read tier in full.
     let (svc, query) = ServiceConfig::builder()
-        .wal_file(
-            &wal_path,
+        .wal_dir(
+            &wal_dir,
             WalMeta {
                 structure: "matching".into(),
                 seed,
@@ -86,10 +87,11 @@ fn main() {
         served.matching_size()
     );
 
-    // 4. Replay the WAL: same batches, same seed, exact same final state —
-    //    crash recovery and trace replay are the same mechanism.
-    let wal = read_wal_file(&wal_path).expect("read WAL");
-    let (replayed, report) = replay_matching(&wal).expect("replay");
+    // 4. Replay the WAL from genesis: same batches, same seed, exact same
+    //    final state — crash recovery and trace replay are the same
+    //    mechanism (pass `false` to start from the newest checkpoint).
+    let rec = recover_matching_from_dir(&wal_dir, true).expect("replay");
+    let (replayed, report) = (rec.structure, rec.report);
     assert_eq!(replayed.matching_size(), served.matching_size());
     assert_eq!(replayed.num_edges(), served.num_edges());
     let (mut a, mut b) = (replayed.matching(), served.matching());
@@ -99,8 +101,8 @@ fn main() {
     println!(
         "replayed {} updates from {} -> identical state (matching {})",
         report.updates,
-        wal_path.display(),
+        wal_dir.display(),
         replayed.matching_size()
     );
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(&wal_dir).ok();
 }

@@ -5,9 +5,9 @@
 //! pbdmm match graph.hgr                                   # static matching
 //! pbdmm dynamic graph.hgr --batch 256 --order uniform     # replay a stream
 //! pbdmm cover graph.hgr                                   # set cover view
-//! pbdmm serve --producers 4 --wal trace.wal               # ingest service
-//! pbdmm replay trace.wal                                  # rebuild from WAL
-//! pbdmm daemon --port 0 --wal trace.wal                   # network daemon
+//! pbdmm serve --producers 4 --wal trace.waldir            # ingest service
+//! pbdmm replay trace.waldir                               # rebuild from WAL
+//! pbdmm daemon --port 0 --wal trace.waldir                # network daemon
 //! pbdmm load --port 45231 --connections 4                 # wire load gen
 //! ```
 //!
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use pbdmm::graph::wal::{read_wal_file, WalMeta};
+use pbdmm::graph::wal::WalMeta;
 use pbdmm::graph::workload::{insert_then_delete, DeletionOrder};
 use pbdmm::graph::{gen, io, Batch, EdgeId, Hypergraph};
 use pbdmm::matching::baseline::{NaiveDynamic, RecomputeMatching};
@@ -36,8 +36,8 @@ use pbdmm::primitives::cost::CostMeter;
 use pbdmm::primitives::obs::{Counter, Phase, Recorder};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    recover_dir_with, replay_into, replay_setcover, CoalescePolicy, Done, RecoveryInfo,
-    ServiceConfig, ServiceHandle, ServiceStats, WalConfig,
+    recover_dir_with, wal_dir_meta, CoalescePolicy, Done, RecoveryInfo, ServiceConfig,
+    ServiceHandle, ServiceStats, WalConfig,
 };
 use pbdmm::setcover::CoverSnapshot;
 use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
@@ -63,13 +63,12 @@ usage:
   pbdmm gen <er|hyper|powerlaw|star|bipartite> [--n N] [--m M] [--rank R] [--seed S] -o <file>
   pbdmm serve [--producers P] [--updates N] [--readers R] [--max-batch B]
               [--max-delay-us D] [--structure matching|setcover]
-              [--wal PATH|none] [--wal-sync BOOL] [--checkpoint-every N]
+              [--wal DIR|none] [--wal-sync BOOL] [--checkpoint-every N]
               [--compare direct|none] [--seed S] [--threads T]
               [--profile [interval=N]]
-  pbdmm replay <wal-file-or-dir> [--from-genesis BOOL] [--threads T]
-              [--profile]
+  pbdmm replay <wal-dir> [--from-genesis BOOL] [--threads T] [--profile]
   pbdmm daemon [--port P] [--host H] [--max-connections C] [--max-inflight W]
-               [--max-batch B] [--max-delay-us D] [--wal PATH|none]
+               [--max-batch B] [--max-delay-us D] [--wal DIR|none]
                [--wal-sync BOOL] [--checkpoint-every N] [--seed S] [--threads T]
                [--profile [interval=N]]
   pbdmm load (--port P | --addr HOST:PORT) [--connections M] [--updates N]
@@ -79,9 +78,9 @@ usage:
   serve drives a synthetic P-producer load through the batch-coalescing
   update service (ingress -> coalesce -> WAL -> apply -> snapshot) and
   reports throughput and per-update latency. Durable by default: each
-  formed batch is appended to the WAL (a temp file unless --wal names
-  one; --wal none disables) and fsynced (--wal-sync false for
-  flush-only) before its tickets complete. --readers R (default 2; 0
+  formed batch is appended to the WAL directory (a temp directory unless
+  --wal names one; --wal none disables) and fsynced (--wal-sync false
+  for flush-only) before its tickets complete. --readers R (default 2; 0
   disables) runs R concurrent reader threads resolving point queries
   against the epoch-snapshot read path while writers run, reporting read
   throughput and snapshot-staleness percentiles. --compare direct (the
@@ -107,15 +106,17 @@ usage:
   the flag to use all cores; also settable process-wide via the
   PBDMM_THREADS environment variable).
 
-  --checkpoint-every N (serve, daemon) switches the WAL to a segment
-  directory: the log rotates and a checkpoint of the live structure is
-  written after every >= N updates, and old segments compact away once a
-  checkpoint covers them. replay accepts either a single WAL file or such
-  a directory; for a directory it recovers the way a restarted daemon
+  The WAL is a directory of NNNNNN.seg segments and NNNNNN.ckpt
+  checkpoints. --checkpoint-every N (serve, daemon; default 65536, 0
+  disables) rotates the log and writes a checkpoint of the live structure
+  after every >= N updates; old segments compact away once a checkpoint
+  covers them. replay recovers a directory the way a restarted daemon
   would — newest intact checkpoint plus tail segments, printing which
   checkpoint it started from — unless --from-genesis true forces a
-  full-history replay. daemon pointed at an existing segment directory
-  (--wal DIR) recovers from it and resumes appending.
+  full-history replay. daemon pointed at an existing WAL directory
+  recovers from it and resumes appending; serve refuses to overwrite one.
+  A single-file log from an older release is byte-identical to a first
+  segment: mkdir D && mv FILE D/000000.seg, then replay D.
 
   --profile (serve, daemon, replay, load) turns on the per-phase
   profiler: where batch time went (plan, WAL append, apply with settle
@@ -869,16 +870,9 @@ where
 
 /// Resolve the `--wal` / `--wal-sync` / `--checkpoint-every` convention
 /// shared by `serve` and `daemon`: durable by default (auto-named temp
-/// path), `--wal none` disables, `--wal PATH` picks the location. An
-/// existing WAL is never overwritten — the service refuses rather than
-/// destroying a recoverable log.
-///
-/// `--checkpoint-every N` switches to the segmented directory mode: PATH
-/// becomes a directory of rotated `NNNNNN.seg` files with a `NNNNNN.ckpt`
-/// checkpoint (and compaction) after every >= N updates (`0` keeps the
-/// directory layout but disables rotation). A `--wal PATH` naming an
-/// **existing directory** also selects the segmented mode — that is how a
-/// restart points the daemon back at the log it is recovering from.
+/// directory), `--wal none` disables, `--wal DIR` picks the WAL directory.
+/// `--checkpoint-every N` sets the checkpoint interval (`0` disables
+/// rotation: one segment, full-replay recovery).
 fn wal_from_flags(
     args: &Args,
     meta: &WalMeta,
@@ -908,26 +902,29 @@ fn wal_from_flags(
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.subsec_nanos())
                 .unwrap_or(0);
-            let ext = if ckpt_every.is_some() {
-                "waldir"
-            } else {
-                "wal"
-            };
-            std::env::temp_dir().join(format!("pbdmm_{tag}_{}_{nanos}.{ext}", std::process::id()))
+            std::env::temp_dir().join(format!("pbdmm_{tag}_{}_{nanos}.waldir", std::process::id()))
         }
     };
-    let mut cfg = if ckpt_every.is_some() || path.is_dir() {
-        let mut cfg = WalConfig::dir(path, meta.clone());
-        if let Some(n) = ckpt_every {
-            // 0 keeps the segment-directory layout but never rotates.
-            cfg.checkpoint_every = (n > 0).then_some(n);
-        }
-        cfg
-    } else {
-        WalConfig::new(path, meta.clone())
-    };
+    if path.is_file() {
+        return Err(single_file_wal_hint(&path));
+    }
+    let mut cfg = WalConfig::dir(path, meta.clone());
+    if let Some(n) = ckpt_every {
+        cfg.checkpoint_every = (n > 0).then_some(n);
+    }
     cfg.sync = sync;
     Ok(Some(cfg))
+}
+
+/// The error for a WAL path that names a regular file: a single-file log
+/// from an older release is byte-identical to the first segment of a WAL
+/// directory, so moving it into one converts it losslessly.
+fn single_file_wal_hint(path: &std::path::Path) -> String {
+    let file = path.display();
+    format!(
+        "{file} is a file, but a WAL is a directory of segments; a single-file \
+         log converts losslessly: mkdir D && mv {file} D/000000.seg"
+    )
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
@@ -953,8 +950,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     // Durable by default: an update is acknowledged only once the batch
     // containing it is on the log (fsync per commit unless --wal-sync
-    // false). `--wal none` turns logging off entirely; `--wal FILE` picks
-    // the location (default: a file in the system temp dir).
+    // false). `--wal none` turns logging off entirely; `--wal DIR` picks
+    // the location (default: a directory in the system temp dir).
     let wal_sync: bool = args.flag("wal-sync", true)?;
     let meta = WalMeta {
         structure: structure.clone(),
@@ -1120,99 +1117,23 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Replay a WAL directory: recover exactly as a restarted daemon would —
+/// load the newest intact checkpoint, replay only the tail segments — or
+/// force a full-history replay with `--from-genesis true`. Ends with the
+/// same byte-comparable `final:` line serve and daemon print, so CI can
+/// diff recovery against the served state.
 fn cmd_replay(args: &Args) -> Result<(), String> {
-    let path = PathBuf::from(
+    let dir = PathBuf::from(
         args.positional
             .get(1)
-            .ok_or("missing WAL file or directory argument")?,
+            .ok_or("missing WAL directory argument")?,
     );
-    if path.is_dir() {
-        return replay_dir(&path, args);
+    if dir.is_file() {
+        return Err(single_file_wal_hint(&dir));
     }
-    let prof = profile_from_flags(args)?;
-    let wal = read_wal_file(&path)?;
-    println!(
-        "wal: {} committed batches, {} updates, structure={} seed={}{}",
-        wal.batches.len(),
-        wal.total_updates(),
-        wal.meta.structure,
-        wal.meta.seed,
-        if wal.truncated {
-            " (trailing uncommitted batch dropped)"
-        } else {
-            ""
-        }
-    );
-    let start = std::time::Instant::now();
-    match wal.meta.structure.as_str() {
-        "matching" => {
-            // Replay with the profile recorder attached: the whole replay
-            // is one `batch`/`apply` span, and the matching tier records
-            // per-batch `settle`/`snapshot_publish` sub-spans inside it.
-            let mut m = DynamicMatching::with_seed(wal.meta.seed);
-            m.set_obs(prof.obs.clone());
-            let report = {
-                let _batch = prof.obs.span(Phase::Batch);
-                let _apply = prof.obs.span(Phase::Apply);
-                replay_into(&mut m, &wal)?
-            };
-            prof.obs.add(Counter::Batches, report.batches);
-            prof.obs.add(Counter::Updates, report.updates);
-            check_invariants(&m).map_err(|e| format!("replayed invariants: {e}"))?;
-            println!(
-                "replayed {} updates in {} applies ({} deferred) in {:.1} ms",
-                report.updates,
-                report.applies,
-                report.deferred,
-                start.elapsed().as_secs_f64() * 1e3
-            );
-            println!(
-                "final: epoch={} edges={} matching={}",
-                m.epoch(),
-                m.num_edges(),
-                m.matching_size()
-            );
-        }
-        "setcover" => {
-            let (c, report) = {
-                let _batch = prof.obs.span(Phase::Batch);
-                let _apply = prof.obs.span(Phase::Apply);
-                replay_setcover(&wal)?
-            };
-            prof.obs.add(Counter::Batches, report.batches);
-            prof.obs.add(Counter::Updates, report.updates);
-            check_invariants(c.matching()).map_err(|e| format!("replayed invariants: {e}"))?;
-            println!(
-                "replayed {} updates in {} applies ({} deferred) in {:.1} ms",
-                report.updates,
-                report.applies,
-                report.deferred,
-                start.elapsed().as_secs_f64() * 1e3
-            );
-            println!(
-                "final: epoch={} edges={} matching={} cover={}",
-                c.epoch(),
-                c.num_elements(),
-                c.matching_size(),
-                c.cover_size()
-            );
-        }
-        other => return Err(format!("WAL records unknown structure {other:?}")),
-    }
-    print_profile(&prof.obs);
-    println!("invariants: ok");
-    Ok(())
-}
-
-/// Replay a segmented WAL directory: recover exactly as a restarted daemon
-/// would — load the newest intact checkpoint, replay only the tail
-/// segments — or force a full-history replay with `--from-genesis true`.
-/// Ends with the same byte-comparable `final:` line as single-file replay,
-/// so CI can diff checkpointed recovery against the full history.
-fn replay_dir(dir: &PathBuf, args: &Args) -> Result<(), String> {
     let from_genesis: bool = args.flag("from-genesis", false)?;
     let prof = profile_from_flags(args)?;
-    let meta = oldest_segment_meta(dir)?;
+    let meta = wal_dir_meta(&dir)?;
     println!(
         "wal: segment directory {}, structure={} seed={}",
         dir.display(),
@@ -1230,7 +1151,7 @@ fn replay_dir(dir: &PathBuf, args: &Args) -> Result<(), String> {
                 let _batch = prof.obs.span(Phase::Batch);
                 let _apply = prof.obs.span(Phase::Apply);
                 recover_dir_with(
-                    dir,
+                    &dir,
                     move || {
                         let mut m = DynamicMatching::with_seed(seed);
                         if recycling {
@@ -1259,7 +1180,7 @@ fn replay_dir(dir: &PathBuf, args: &Args) -> Result<(), String> {
             let rec = {
                 let _batch = prof.obs.span(Phase::Batch);
                 let _apply = prof.obs.span(Phase::Apply);
-                recover_dir_with(dir, move || DynamicSetCover::with_seed(seed), from_genesis)?
+                recover_dir_with(&dir, move || DynamicSetCover::with_seed(seed), from_genesis)?
             };
             prof.obs.add(Counter::Batches, rec.info().report.batches);
             prof.obs.add(Counter::Updates, rec.info().report.updates);
@@ -1296,9 +1217,9 @@ fn print_recovery(info: &RecoveryInfo, elapsed: Duration) {
         ),
     }
     println!(
-        "replayed {} updates in {} applies across {} tail segments in {:.1} ms{}",
+        "replayed {} updates in {} batches across {} tail segments in {:.1} ms{}",
         info.report.updates,
-        info.report.applies,
+        info.report.batches,
         info.segments_replayed,
         elapsed.as_secs_f64() * 1e3,
         if info.truncated {
@@ -1307,24 +1228,6 @@ fn print_recovery(info: &RecoveryInfo, elapsed: Duration) {
             ""
         }
     );
-}
-
-/// Header metadata of the oldest segment in a WAL directory — segments all
-/// agree on it (validated during replay), so one read suffices to learn
-/// which structure and seed the log records.
-fn oldest_segment_meta(dir: &PathBuf) -> Result<WalMeta, String> {
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "seg"))
-        .collect();
-    segs.sort();
-    let oldest = segs
-        .first()
-        .ok_or_else(|| format!("{} contains no .seg files", dir.display()))?;
-    Ok(read_wal_file(oldest)
-        .map_err(|e| format!("{}: {e}", oldest.display()))?
-        .meta)
 }
 
 fn cmd_daemon(args: &Args) -> Result<(), String> {
@@ -1365,13 +1268,10 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
         obs: prof.obs.clone(),
         ..Default::default()
     };
-    // A segmented WAL directory is a recoverable log: resume from it (an
-    // empty or absent directory is just a fresh start), deriving seed and
-    // id mode from the segment metadata so a restarted daemon continues
-    // the exact run it crashed out of. Single-file WALs keep the
-    // refuse-to-overwrite behavior.
-    let segmented = cfg.wal.as_ref().is_some_and(|w| w.segmented);
-    let (daemon, recovered) = if segmented {
+    // A WAL directory is a recoverable log: resume from it (an empty or
+    // absent directory is just a fresh start) so a restarted daemon
+    // continues the exact run it crashed out of.
+    let (daemon, recovered) = if cfg.wal.is_some() {
         let (daemon, info) = Daemon::recover_and_start(cfg)?;
         (daemon, Some(info))
     } else {

@@ -163,9 +163,9 @@ fn threads_flag_is_validated() {
 
 #[test]
 fn serve_records_wal_and_replay_reproduces_final_state() {
-    let wal = tmpfile("serve.wal");
+    let wal = tmpfile("serve.waldir");
     // The service refuses to overwrite an existing WAL; start clean.
-    std::fs::remove_file(&wal).ok();
+    std::fs::remove_dir_all(&wal).ok();
     let out = pbdmm(&[
         "serve",
         "--producers",
@@ -215,7 +215,7 @@ fn serve_records_wal_and_replay_reproduces_final_state() {
         .to_string();
     assert_eq!(served_final, replayed_final, "{stdout}");
     assert!(stdout.contains("invariants: ok"), "{stdout}");
-    std::fs::remove_file(&wal).ok();
+    std::fs::remove_dir_all(&wal).ok();
 }
 
 #[test]
@@ -297,20 +297,92 @@ fn serve_sustains_concurrent_readers_with_zero_failed_queries() {
 
 #[test]
 fn replay_rejects_garbage() {
-    let bad = tmpfile("bad.wal");
-    std::fs::write(&bad, "this is not a wal\n").unwrap();
+    let bad = tmpfile("bad.waldir");
+    std::fs::remove_dir_all(&bad).ok();
+    std::fs::create_dir_all(&bad).unwrap();
+    std::fs::write(bad.join("000000.seg"), "this is not a wal\n").unwrap();
     let out = pbdmm(&["replay", bad.to_str().unwrap()]);
     assert!(!out.status.success());
+    std::fs::remove_dir_all(&bad).ok();
     let out = pbdmm(&["replay"]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("missing WAL file"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("missing WAL directory"));
+}
+
+#[test]
+fn single_file_log_is_refused_with_a_lossless_conversion_hint() {
+    // A single-file log is byte-identical to a first segment: take one
+    // from a one-segment directory, then check that replay refuses the
+    // bare file with the conversion hint, and that following the hint
+    // reproduces the served final state.
+    let served = tmpfile("v1_source.waldir");
+    let file = tmpfile("v1_log.wal");
+    let converted = tmpfile("v1_converted.waldir");
+    for dir in [&served, &converted] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    let out = pbdmm(&[
+        "serve",
+        "--producers",
+        "1",
+        "--updates",
+        "200",
+        "--readers",
+        "0",
+        "--compare",
+        "none",
+        "--wal-sync",
+        "false",
+        "--checkpoint-every",
+        "0",
+        "--wal",
+        served.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let served_final = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .find(|l| l.starts_with("final:"))
+        .expect("serve prints a final state line")
+        .to_string();
+    std::fs::copy(served.join("000000.seg"), &file).unwrap();
+
+    for cmd in [
+        vec!["replay", file.to_str().unwrap()],
+        vec!["serve", "--wal", file.to_str().unwrap()],
+    ] {
+        let out = pbdmm(&cmd);
+        assert!(!out.status.success(), "{cmd:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("mkdir D && mv") && stderr.contains("D/000000.seg"),
+            "{cmd:?}: {stderr}"
+        );
+    }
+
+    std::fs::create_dir_all(&converted).unwrap();
+    std::fs::rename(&file, converted.join("000000.seg")).unwrap();
+    let out = pbdmm(&["replay", converted.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.lines().any(|l| l == served_final), "{stdout}");
+    for dir in [&served, &converted] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 #[test]
 fn flags_a_subcommand_does_not_read_are_rejected() {
     // A small real WAL, so `replay` would otherwise succeed on it.
-    let wal = tmpfile("unknown_flags.wal");
-    std::fs::remove_file(&wal).ok();
+    let wal = tmpfile("unknown_flags.waldir");
+    std::fs::remove_dir_all(&wal).ok();
     let small_serve = [
         "serve",
         "--producers",
@@ -358,7 +430,7 @@ fn flags_a_subcommand_does_not_read_are_rejected() {
             "{args:?}: {stderr}"
         );
     }
-    std::fs::remove_file(&wal).ok();
+    std::fs::remove_dir_all(&wal).ok();
 }
 
 /// Spawn `pbdmm daemon --port 0`, scan for its `daemon: listening on`
@@ -399,8 +471,8 @@ fn spawn_daemon(extra: &[&str]) -> (std::process::Child, String, String) {
 
 #[test]
 fn daemon_serves_load_and_wal_replay_matches_byte_for_byte() {
-    let wal = tmpfile("daemon_cli.wal");
-    let _ = std::fs::remove_file(&wal);
+    let wal = tmpfile("daemon_cli.waldir");
+    let _ = std::fs::remove_dir_all(&wal);
     let (child, addr, _) = spawn_daemon(&["--wal", wal.to_str().unwrap(), "--seed", "11"]);
 
     let out = pbdmm(&[
@@ -454,6 +526,7 @@ fn daemon_serves_load_and_wal_replay_matches_byte_for_byte() {
         .unwrap_or_else(|| panic!("no final: line in {replay_out}"));
     assert_eq!(daemon_final, replay_final);
     assert!(replay_out.contains("invariants: ok"), "{replay_out}");
+    let _ = std::fs::remove_dir_all(&wal);
 }
 
 #[test]
@@ -550,7 +623,7 @@ fn daemon_restart_recovers_from_segment_directory() {
     let dir = tmpfile("daemon_ckpt.waldir");
     std::fs::remove_dir_all(&dir).ok();
 
-    // Run 1: fresh segmented WAL, some load, graceful shutdown.
+    // Run 1: fresh WAL directory, some load, graceful shutdown.
     let (child, addr, preamble) = spawn_daemon(&[
         "--wal",
         dir.to_str().unwrap(),
@@ -594,7 +667,7 @@ fn daemon_restart_recovers_from_segment_directory() {
         .unwrap_or_else(|| panic!("no final: line in {run1}"));
 
     // Run 2: pointing --wal at the existing directory recovers the run —
-    // an existing dir selects segmented mode without --checkpoint-every.
+    // no --checkpoint-every needed.
     let (child, addr, preamble) = spawn_daemon(&["--wal", dir.to_str().unwrap(), "--seed", "11"]);
     assert!(preamble.contains("daemon: recovered "), "{preamble:?}");
     let out = pbdmm(&[

@@ -12,7 +12,7 @@
 //! reuse boundaries with the scheduler cap above the core count.
 
 use pbdmm::graph::edge::EdgeId;
-use pbdmm::graph::wal::{read_wal_file, WalMeta};
+use pbdmm::graph::wal::{read_segment, WalMeta};
 use pbdmm::graph::{gen, workload};
 use pbdmm::matching::snapshot::Snapshots;
 use pbdmm::matching::verify::check_invariants;
@@ -153,17 +153,14 @@ fn snapshots_agree_across_reuse_boundaries() {
 #[test]
 fn wal_replay_reproduces_recycled_ids_exactly() {
     let dir = std::env::temp_dir().join(format!("pbdmm_slab_reuse_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let wal_path = dir.join("reuse.wal");
-    let _ = std::fs::remove_file(&wal_path);
 
     let svc = ServiceConfig::builder()
         .policy(CoalescePolicy {
             max_batch: 16,
             max_delay: std::time::Duration::ZERO,
         })
-        .wal_file(
-            &wal_path,
+        .wal_dir(
+            &dir,
             WalMeta {
                 seed: 11,
                 ids_recycling: true,
@@ -171,6 +168,8 @@ fn wal_replay_reproduces_recycled_ids_exactly() {
             },
         )
         .wal_truncate(true)
+        // One segment: the whole history stays in `000000.seg`.
+        .checkpoint_every(0)
         .start(recycling(11))
         .expect("WAL in temp dir");
     let h = svc.handle();
@@ -192,7 +191,7 @@ fn wal_replay_reproduces_recycled_ids_exactly() {
     // Replay the log into a fresh same-seeded recycling structure: the
     // exact final state — live ids (including recycled ones) and matching —
     // must reproduce.
-    let wal = read_wal_file(&wal_path).expect("readable WAL");
+    let wal = read_segment(&dir.join("000000.seg")).expect("readable WAL");
     let mut replayed = recycling(11);
     replay_into(&mut replayed, &wal).expect("clean replay");
     check_invariants(&replayed).unwrap();
@@ -204,7 +203,7 @@ fn wal_replay_reproduces_recycled_ids_exactly() {
     assert_eq!(Snapshots::snapshot(&served), Snapshots::snapshot(&replayed));
     let st = replayed.storage_stats();
     assert!(st.recycling && st.ids_allocated as usize == st.edge_slots);
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
