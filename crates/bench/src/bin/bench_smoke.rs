@@ -668,18 +668,9 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
 
     // Dispatch-frequency metrics: many borderline-size parallel calls, the
     // shape level settlement actually produces (a few-thousand-element
-    // semisort/scan per round). Scheduler overhead dominates here: this is
+    // semisort per round). Scheduler overhead dominates here: this is
     // where spawn-per-call vs pooled dispatch shows directly.
     par::set_num_threads(4);
-    let small: Vec<u64> = (0..16_384u64).map(|i| (i * 31) % 97).collect();
-    metrics.insert(
-        "repeated_scan_16k_elems_per_s_t4".into(),
-        throughput(samples, 512 * small.len() as u64, || {
-            for _ in 0..512 {
-                std::hint::black_box(pbdmm_primitives::exclusive_scan(&small));
-            }
-        }),
-    );
     let mut rng = SplitMix64::new(5);
     let small_pairs: Vec<(u32, u32)> = (0..8192)
         .map(|_| (rng.bounded(512) as u32, rng.next_u64() as u32))
@@ -693,18 +684,6 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         }),
     );
 
-    // Primitive hot paths at full size: throughput parity check.
-    let xs: Vec<u64> = (0..1u64 << 20).map(|i| (i * 31) % 97).collect();
-    metrics.insert(
-        // `info_` metrics are recorded but NOT gated: single-pass bandwidth
-        // over 1M elements is dominated by host memory/CPU-steal noise
-        // (observed >2× swings between identical runs on virtualized CI),
-        // which no per-run calibration can normalize away.
-        "info_scan_1m_elems_per_s_t4".into(),
-        throughput(samples, xs.len() as u64, || {
-            std::hint::black_box(pbdmm_primitives::exclusive_scan(&xs));
-        }),
-    );
     let mut rng = SplitMix64::new(7);
     let pairs: Vec<(u32, u32)> = (0..1 << 18)
         .map(|_| (rng.bounded(4096) as u32, rng.next_u64() as u32))
@@ -713,17 +692,6 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         "semisort_pairs_per_s_t4".into(),
         throughput(samples, pairs.len() as u64, || {
             std::hint::black_box(pbdmm_primitives::group_by(pairs.clone()));
-        }),
-    );
-    let keys: Vec<u64> = (0..1u64 << 19)
-        .map(|i| i.wrapping_mul(0x9e37_79b9))
-        .collect();
-    metrics.insert(
-        "sort_keys_per_s_t4".into(),
-        throughput(samples, keys.len() as u64, || {
-            let mut k = keys.clone();
-            par::par_sort(&mut k);
-            std::hint::black_box(k);
         }),
     );
     par::set_num_threads(0);

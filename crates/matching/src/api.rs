@@ -112,68 +112,11 @@ pub struct BatchOutcome<R = ()> {
     pub report: R,
 }
 
-/// What one update in a batch did, from [`BatchOutcome::per_update`]: the
-/// per-submitter view of a strict-apply outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateOutcome {
-    /// The update was an insertion; this id was assigned to it.
-    Inserted(EdgeId),
-    /// The update was a deletion of this id.
-    Deleted(EdgeId),
-}
-
-impl UpdateOutcome {
-    /// The edge id this update resolved to (assigned for insertions, the
-    /// requested id for deletions).
-    pub fn id(&self) -> EdgeId {
-        match self {
-            UpdateOutcome::Inserted(id) | UpdateOutcome::Deleted(id) => *id,
-        }
-    }
-}
-
 impl<R> BatchOutcome<R> {
     /// Number of edges actually deleted (the count the legacy
     /// `delete_edges -> usize` API used to return).
     pub fn deleted_count(&self) -> usize {
         self.deleted.len()
-    }
-
-    /// Split this outcome back onto the batch that produced it: one
-    /// [`UpdateOutcome`] per update, **in batch order**, so custom batch
-    /// drivers (ticket-completion layers, trace recorders) can hand each
-    /// submitter exactly its own slice of the result. (The in-tree service
-    /// computes the identical mapping slot-wise so its hot path never
-    /// clones the batch; this method is the reusable form of that
-    /// contract.)
-    ///
-    /// Defined for strict [`BatchDynamic::apply`] outcomes, where every
-    /// requested deletion succeeded and `inserted` has one id per `Insert`.
-    ///
-    /// # Panics
-    /// If `batch` is not the batch this outcome came from (its insertion or
-    /// deletion counts disagree with the outcome's).
-    pub fn per_update(&self, batch: &Batch) -> Vec<UpdateOutcome> {
-        assert_eq!(
-            batch.num_inserts(),
-            self.inserted.len(),
-            "outcome does not belong to this batch"
-        );
-        assert_eq!(
-            batch.num_deletes(),
-            self.deleted.len(),
-            "outcome does not belong to this batch"
-        );
-        let mut next_inserted = self.inserted.iter();
-        batch
-            .iter()
-            .map(|u| match u {
-                Update::Insert(_) => {
-                    UpdateOutcome::Inserted(*next_inserted.next().expect("one id per insertion"))
-                }
-                Update::Delete(id) => UpdateOutcome::Deleted(*id),
-            })
-            .collect()
     }
 
     /// Total updates applied.
@@ -458,33 +401,6 @@ mod tests {
             index: 1,
         };
         assert!(e.to_string().contains("twice"));
-    }
-
-    #[test]
-    fn per_update_splits_in_batch_order() {
-        let mut m = DynamicMatching::with_seed(5);
-        let ids = m.insert_edges(&[vec![0, 1], vec![2, 3]]);
-        let batch = Batch::new()
-            .delete(ids[0])
-            .insert(vec![4, 5])
-            .delete(ids[1])
-            .insert(vec![6, 7]);
-        let out = m.apply(batch.clone()).unwrap();
-        let per = out.per_update(&batch);
-        assert_eq!(per.len(), 4);
-        assert_eq!(per[0], UpdateOutcome::Deleted(ids[0]));
-        assert_eq!(per[1], UpdateOutcome::Inserted(out.inserted[0]));
-        assert_eq!(per[2], UpdateOutcome::Deleted(ids[1]));
-        assert_eq!(per[3], UpdateOutcome::Inserted(out.inserted[1]));
-        assert_eq!(per[1].id(), out.inserted[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not belong")]
-    fn per_update_rejects_foreign_batch() {
-        let mut m = DynamicMatching::with_seed(6);
-        let out = m.apply(Batch::new().insert(vec![0, 1])).unwrap();
-        out.per_update(&Batch::new().inserts([vec![0, 1], vec![2, 3]]));
     }
 
     #[test]

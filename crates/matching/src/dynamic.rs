@@ -257,11 +257,8 @@ pub struct DynamicMatching {
     /// Change recorder for the in-flight batch; `Some` exactly while an
     /// `apply` runs with snapshots enabled.
     delta: Option<DeltaTracker>,
-    /// Cumulative wall time spent producing + publishing snapshots, in
-    /// nanoseconds (the bench's publish-cost telemetry).
-    snapshot_publish_nanos: u64,
     /// Phase recorder for wall-clock observability (settlement +
-    /// publication spans, settle-round/level/scratch counters). Disabled
+    /// publication spans, settle-round/scratch counters). Disabled
     /// by default — every record is then a no-op branch.
     obs: Recorder,
 }
@@ -307,7 +304,6 @@ impl DynamicMatching {
             pool: None,
             snapshots: None,
             delta: None,
-            snapshot_publish_nanos: 0,
             obs: Recorder::disabled(),
         }
     }
@@ -473,16 +469,8 @@ impl DynamicMatching {
             // to a full capture, which also resyncs delta subscribers.
             cell.publish(MatchingSnapshot::capture(self));
         }
-        let elapsed = start.elapsed().as_nanos() as u64;
-        self.snapshot_publish_nanos += elapsed;
-        self.obs.record_ns(Phase::SnapshotPublish, elapsed);
-    }
-
-    /// Cumulative nanoseconds spent producing and publishing snapshots
-    /// across all applies (0 when snapshots were never enabled). The bench
-    /// divides this by edges touched to show publish cost is O(batch).
-    pub fn snapshot_publish_nanos(&self) -> u64 {
-        self.snapshot_publish_nanos
+        self.obs
+            .record_ns(Phase::SnapshotPublish, start.elapsed().as_nanos() as u64);
     }
 
     #[inline]
@@ -596,27 +584,13 @@ impl DynamicMatching {
         Ok(self.on_pool(|dm| dm.apply_validated(inserts, deletes)))
     }
 
-    /// Fallible insertion tier: like the legacy `insert_edges` but returns
-    /// [`UpdateError::EmptyEdge`] instead of panicking.
-    pub fn try_insert_edges(&mut self, batch: &[EdgeVertices]) -> Result<Vec<EdgeId>, UpdateError> {
-        self.apply(Batch::new().inserts(batch.iter().cloned()))
-            .map(|o| o.inserted)
-    }
-
-    /// Fallible deletion tier: strict (unknown ids and in-batch duplicates
-    /// are errors). Returns the deleted ids in input order.
-    pub fn try_delete_edges(&mut self, ids: &[EdgeId]) -> Result<Vec<EdgeId>, UpdateError> {
-        self.apply(Batch::new().deletes(ids.iter().copied()))
-            .map(|o| o.deleted)
-    }
-
     /// Legacy wrapper: insert a batch of edges. Vertex lists are normalized
     /// (sorted, deduplicated); returns the assigned edge ids, in input
     /// order. Prefer [`Self::apply`].
     ///
     /// # Panics
-    /// If any edge has an empty vertex set (use [`Self::try_insert_edges`]
-    /// for a fallible variant).
+    /// If any edge has an empty vertex set ([`Self::apply`] returns
+    /// [`UpdateError::EmptyEdge`] instead).
     ///
     /// # Examples
     /// ```
@@ -629,8 +603,9 @@ impl DynamicMatching {
     /// assert!(m.matching_size() >= 2); // {0,1} or {1,2}, plus {3,4,5}
     /// ```
     pub fn insert_edges(&mut self, batch: &[EdgeVertices]) -> Vec<EdgeId> {
-        self.try_insert_edges(batch)
+        self.apply(Batch::new().inserts(batch.iter().cloned()))
             .expect("edge with empty vertex set")
+            .inserted
     }
 
     /// The shared strict core behind [`Self::apply`] and the wrappers.
@@ -736,10 +711,6 @@ impl DynamicMatching {
         self.maybe_publish_snapshot();
         if self.obs.is_enabled() {
             self.obs.add(Counter::SettleRounds, settle_iterations);
-            // Occupied levels is an O(matching) scan, so it is gated on the
-            // recorder actually being on (profiling cost, not steady-state).
-            self.obs
-                .add(Counter::LevelsTouched, self.level_histogram().len() as u64);
             self.obs
                 .record_max(Counter::ScratchHighWater, self.greedy.high_water() as u64);
         }
@@ -788,10 +759,10 @@ impl DynamicMatching {
     // --- User interface: deleteEdges (legacy tolerant wrapper) ---------------
 
     /// Legacy wrapper: delete a batch of edges by id, *tolerantly* — unknown,
-    /// already-deleted, and duplicate ids are skipped (use
-    /// [`Self::try_delete_edges`] to make those errors). Returns the ids
-    /// that were actually live and are now deleted, in input order, so
-    /// callers can reconcile; the count is `.len()`. Prefer [`Self::apply`].
+    /// already-deleted, and duplicate ids are skipped ([`Self::apply`]
+    /// makes those errors). Returns the ids that were actually live and are
+    /// now deleted, in input order, so callers can reconcile; the count is
+    /// `.len()`. Prefer [`Self::apply`].
     ///
     /// # Examples
     /// ```
@@ -1259,11 +1230,18 @@ mod tests {
     fn try_tier_reports_errors_without_mutating() {
         let mut dm = DynamicMatching::with_seed(32);
         let ids = dm.insert_edges(&[vec![0, 1]]);
-        assert!(dm.try_insert_edges(&[vec![2, 3], vec![]]).is_err());
-        assert!(dm.try_delete_edges(&[EdgeId(999)]).is_err());
-        assert!(dm.try_delete_edges(&[ids[0], ids[0]]).is_err());
+        // `apply` is the fallible tier: each rejection leaves the structure
+        // untouched.
+        assert!(dm
+            .apply(Batch::new().inserts([vec![2, 3], vec![]]))
+            .is_err());
+        assert!(dm.apply(Batch::new().delete(EdgeId(999))).is_err());
+        assert!(dm.apply(Batch::new().deletes([ids[0], ids[0]])).is_err());
         assert_eq!(dm.num_edges(), 1);
-        assert_eq!(dm.try_delete_edges(&[ids[0]]).unwrap(), vec![ids[0]]);
+        assert_eq!(
+            dm.apply(Batch::new().delete(ids[0])).unwrap().deleted,
+            vec![ids[0]]
+        );
         assert_eq!(dm.num_edges(), 0);
         assert_ok(&dm);
     }

@@ -77,7 +77,6 @@ pub mod verify;
 
 pub use api::{
     Batch, BatchDynamic, BatchOutcome, DynamicMatchingBuilder, MeterMode, Update, UpdateError,
-    UpdateOutcome,
 };
 pub use checkpoint::Checkpoint;
 pub use dynamic::{BatchReport, DynamicMatching, LevelOccupancy, StorageStats};

@@ -53,8 +53,9 @@ pub const MAGIC: [u8; 4] = *b"PBDM";
 
 /// Protocol version carried in the handshake. Bumped on any frame-layout
 /// change; endpoints refuse to talk across versions. Version 2 dropped two
-/// phases and one counter from the positional `Profile` encoding.
-pub const VERSION: u16 = 2;
+/// phases and one counter from the positional `Profile` encoding; version 3
+/// dropped the `levels_touched` counter.
+pub const VERSION: u16 = 3;
 
 /// Default cap on one frame's body (opcode + payload). A declared length
 /// above the cap is rejected *before* allocating — the admission control of
@@ -1114,7 +1115,7 @@ mod tests {
             read_handshake(&mut &http[..]),
             Err(FrameError::BadHandshake(_))
         ));
-        for other in [VERSION + 1, 1] {
+        for other in [VERSION + 1, 2, 1] {
             let mut v = wire.clone();
             v[4..6].copy_from_slice(&other.to_le_bytes());
             assert!(matches!(

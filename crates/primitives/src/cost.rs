@@ -151,8 +151,8 @@ impl CostSnapshot {
 /// calibrated against the ~µs-scale cost of waking a pooled worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostHint {
-    /// A few ns/element: arithmetic, copies, predicate scans (`scan`,
-    /// `find_next`, tabulate).
+    /// A few ns/element: arithmetic, copies, predicate scans
+    /// (`find_next`, tabulate).
     Light,
     /// Tens of ns/element: hashing, comparison sorting, branchy per-element
     /// work (`semisort`, `sort`).

@@ -158,18 +158,16 @@ pub enum Counter {
     FlushClose = 6,
     /// Settlement rounds executed across all batches.
     SettleRounds = 7,
-    /// Structure levels occupied, summed over per-batch samples.
-    LevelsTouched = 8,
     /// High-water: peak greedy-scratch table size (slots).
-    ScratchHighWater = 9,
+    ScratchHighWater = 8,
     /// Wire frames decoded by the daemon.
-    FramesDecoded = 10,
+    FramesDecoded = 9,
     /// Malformed/oversized frames rejected by the daemon.
-    DecodeErrors = 11,
+    DecodeErrors = 10,
 }
 
 /// Number of counters (length of [`Counter::ALL`]).
-pub const NUM_COUNTERS: usize = 12;
+pub const NUM_COUNTERS: usize = 11;
 
 impl Counter {
     /// Every counter, in display order.
@@ -182,7 +180,6 @@ impl Counter {
         Counter::FlushTimer,
         Counter::FlushClose,
         Counter::SettleRounds,
-        Counter::LevelsTouched,
         Counter::ScratchHighWater,
         Counter::FramesDecoded,
         Counter::DecodeErrors,
@@ -199,7 +196,6 @@ impl Counter {
             Counter::FlushTimer => "flush_timer",
             Counter::FlushClose => "flush_close",
             Counter::SettleRounds => "settle_rounds",
-            Counter::LevelsTouched => "levels_touched",
             Counter::ScratchHighWater => "scratch_high_water",
             Counter::FramesDecoded => "frames_decoded",
             Counter::DecodeErrors => "decode_errors",

@@ -5,43 +5,25 @@
 //! that (a) small inputs stay sequential (adaptive grain control — the
 //! cutoff depends on the primitive's per-element [`CostHint`] and the
 //! worker count, because parallelism below the fork overhead costs more
-//! than it gains), (b) the whole workspace can be forced sequential for
-//! deterministic debugging via [`set_sequential`], and (c) the worker count
-//! can be configured per process via [`set_num_threads`] or the
-//! `PBDMM_THREADS` environment variable (the benchmark harness's speedup
-//! sweeps and the CI thread matrix use these).
+//! than it gains), and (b) the worker count can be configured per process
+//! via [`set_num_threads`] or the `PBDMM_THREADS` environment variable (the
+//! benchmark harness's speedup sweeps and the CI thread matrix use these).
+//! A single-threaded run is a 1-thread [`crate::pool::ParPool`] installed
+//! around the call (or a cap of 1): every gate below then stays sequential.
 //!
 //! Work is executed as *splittable range tasks*: a call covering `0..n`
 //! submits one task to the current [`crate::pool::ParPool`], and the task
 //! splits itself in half lazily exactly as deep as idle workers demand.
 //! There is no thread spawning on any call path.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 pub use crate::cost::CostHint;
 use crate::pool;
 
-/// Historical default sequential cutoff. Kept for callers that want a
-/// hint-free size gate; the primitives themselves use their [`CostHint`]'s
-/// [`CostHint::sequential_cutoff`].
-pub const GRAIN: usize = 4096;
-
-static FORCE_SEQUENTIAL: AtomicBool = AtomicBool::new(false);
-
 /// Worker-count cap; 0 means "use `PBDMM_THREADS` or all available cores".
 static THREAD_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Force all primitives in this crate to run sequentially (for debugging and
-/// for the sequential baselines in the benchmark harness). Global and sticky.
-pub fn set_sequential(seq: bool) {
-    FORCE_SEQUENTIAL.store(seq, Ordering::SeqCst);
-}
-
-/// Whether primitives are currently forced sequential.
-pub fn is_sequential() -> bool {
-    FORCE_SEQUENTIAL.load(Ordering::Relaxed)
-}
 
 /// Cap the number of worker threads used by the primitives (0 restores the
 /// default: `PBDMM_THREADS` if set, else one worker per available core).
@@ -91,19 +73,12 @@ pub fn parallelism() -> usize {
     pool::current_threads().max(1)
 }
 
-/// Should a primitive over `n` elements run in parallel? Hint-free variant
-/// using the historical [`GRAIN`] cutoff.
-#[inline]
-pub fn should_par(n: usize) -> bool {
-    n >= GRAIN && !is_sequential() && parallelism() > 1
-}
-
 /// Should a primitive over `n` elements of the given cost class run in
 /// parallel? The sequential cutoff comes from the hint: the cheaper each
 /// element, the larger the input must be before forking pays.
 #[inline]
 pub fn should_par_hint(n: usize, hint: CostHint) -> bool {
-    n >= hint.sequential_cutoff() && !is_sequential() && parallelism() > 1
+    n >= hint.sequential_cutoff() && parallelism() > 1
 }
 
 /// The number of threads that can actually run simultaneously: the current
@@ -132,10 +107,10 @@ pub fn adaptive_grain(n: usize, hint: CostHint) -> usize {
         .max(1)
 }
 
-/// Serialization for tests that mutate the process-global scheduler knobs
-/// (`set_num_threads`, `set_sequential`): `cargo test` runs tests of one
-/// binary concurrently, so unserialized knob flips make assertions about
-/// the resulting global state flaky.
+/// Serialization for tests that mutate the process-global thread cap
+/// ([`set_num_threads`]): `cargo test` runs tests of one binary
+/// concurrently, so unserialized knob flips make assertions about the
+/// resulting global state flaky.
 #[cfg(test)]
 pub(crate) fn test_knob_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -155,7 +130,7 @@ impl<T> SendPtr<T> {
 }
 
 /// Split `0..n` into at most `k` near-equal contiguous ranges.
-pub(crate) fn ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
+fn ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     let k = k.max(1).min(n.max(1));
     let base = n / k;
     let extra = n % k;
@@ -169,39 +144,18 @@ pub(crate) fn ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// The chunk count for fixed-partition helpers: a few chunks per effective
-/// worker so the pool's stealing can balance uneven chunk costs.
-pub(crate) fn chunk_count(n: usize) -> usize {
-    (4 * effective_parallelism()).min(n.max(1))
-}
-
 /// Run `f` over contiguous index ranges covering `0..n` and return the
-/// per-range results in order. The partition has a few chunks per worker
-/// (balanced by work stealing); callers that need a *specific* partition
-/// compute it with the crate-private `ranges` and `par_run_ranges` pair.
-pub fn par_ranges<U, F>(n: usize, f: F) -> Vec<U>
+/// per-range results in order. The partition has a few chunks per
+/// effective worker, each one pool task, so stealing can balance uneven
+/// chunk costs.
+fn par_ranges<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(std::ops::Range<usize>) -> U + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    par_run_ranges(ranges(n, chunk_count(n)), |_, r| f(r))
-}
-
-/// Run `f(index, range)` over an explicit pre-computed partition, results in
-/// partition order. Each range is one pool task. Callers that need the
-/// *same* partition across two passes (e.g. the blocked scan) compute it
-/// once with `ranges` and run both passes through this, so a concurrent
-/// [`set_num_threads`] cannot desynchronize the passes.
-pub(crate) fn par_run_ranges<U, F>(rs: Vec<std::ops::Range<usize>>, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> U + Sync,
-{
-    if rs.len() <= 1 || is_sequential() || parallelism() <= 1 {
-        return rs.into_iter().enumerate().map(|(i, r)| f(i, r)).collect();
+    let rs = ranges(n, (4 * effective_parallelism()).min(n.max(1)));
+    if rs.len() <= 1 || parallelism() <= 1 {
+        return rs.into_iter().map(f).collect();
     }
     let k = rs.len();
     let mut out: Vec<Option<U>> = std::iter::repeat_with(|| None).take(k).collect();
@@ -209,7 +163,7 @@ where
     let rs = &rs;
     pool::current().run_range(k, 1, |lo, hi| {
         for (i, r) in rs.iter().enumerate().take(hi).skip(lo) {
-            let value = f(i, r.clone());
+            let value = f(r.clone());
             // SAFETY: each index is written by exactly one task.
             unsafe { *slots.get().add(i) = Some(value) };
         }
@@ -217,34 +171,6 @@ where
     out.into_iter()
         .map(|o| o.expect("range task not executed"))
         .collect()
-}
-
-/// Run `f(i)` for every `i in 0..n` as splittable range tasks with adaptive
-/// grain — the pool-era `par_for`. Medium cost assumed; use
-/// [`par_for_hint`] when the per-element cost class is known.
-pub fn par_for<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    par_for_hint(n, CostHint::Medium, f)
-}
-
-/// [`par_for`] with an explicit per-element cost hint.
-pub fn par_for_hint<F>(n: usize, hint: CostHint, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if !should_par_hint(n, hint) {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    pool::current().run_range(n, adaptive_grain(n, hint), |lo, hi| {
-        for i in lo..hi {
-            f(i);
-        }
-    });
 }
 
 /// Tabulate `f(i)` for `i in 0..n` into a vector, writing results in place
@@ -282,25 +208,6 @@ where
     tabulate_hint(items.len(), CostHint::Medium, |i| f(&items[i]))
 }
 
-/// Parallel indexed map: `f(i, &items[i])`.
-pub fn par_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync + Send,
-{
-    tabulate_hint(items.len(), CostHint::Medium, |i| f(i, &items[i]))
-}
-
-/// Parallel for-each over shared references (the callee synchronizes).
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync + Send,
-{
-    par_for_hint(items.len(), CostHint::Medium, |i| f(&items[i]));
-}
-
 /// Parallel for-each over mutable elements.
 pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
 where
@@ -319,24 +226,6 @@ where
             f(unsafe { &mut *base.get().add(i) });
         }
     });
-}
-
-/// Parallel flat-map (order-preserving).
-pub fn par_flat_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Vec<U> + Sync + Send,
-{
-    if !should_par_hint(items.len(), CostHint::Medium) {
-        return items.iter().flat_map(|t| f(t).into_iter()).collect();
-    }
-    concat(par_ranges(items.len(), |r| {
-        items[r]
-            .iter()
-            .flat_map(|t| f(t).into_iter())
-            .collect::<Vec<U>>()
-    }))
 }
 
 /// Parallel filter-map (order-preserving).
@@ -365,7 +254,7 @@ where
     RA: Send,
     RB: Send,
 {
-    if is_sequential() || parallelism() <= 1 {
+    if parallelism() <= 1 {
         (a(), b())
     } else {
         pool::current().join(a, b)
@@ -462,15 +351,6 @@ where
     });
 }
 
-/// Sort a slice, in parallel above the grain size.
-pub fn par_sort<T: Ord + Send>(items: &mut [T]) {
-    if !should_par_hint(items.len(), CostHint::Medium) {
-        items.sort_unstable();
-        return;
-    }
-    par_quicksort(items, &|a: &T, b: &T| a.cmp(b), fork_budget());
-}
-
 /// Sort by key, in parallel above the grain size.
 pub fn par_sort_by_key<T, K, F>(items: &mut [T], f: F)
 where
@@ -501,7 +381,7 @@ where
     C: Fn(&T, &T) -> std::cmp::Ordering + Sync,
 {
     let n = items.len();
-    if n < CostHint::Medium.sequential_cutoff() || forks == 0 || is_sequential() {
+    if n < CostHint::Medium.sequential_cutoff() || forks == 0 {
         items.sort_unstable_by(cmp);
         return;
     }
@@ -567,23 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_indexed_passes_indices() {
-        let xs = vec![10u64; 100];
-        let ys = par_map_indexed(&xs, |i, x| i as u64 + x);
-        assert_eq!(ys[0], 10);
-        assert_eq!(ys[99], 109);
-    }
-
-    #[test]
-    fn par_flat_map_preserves_order() {
-        let xs: Vec<u32> = (0..5000).collect();
-        let ys = par_flat_map(&xs, |&x| vec![x, x]);
-        for (i, pair) in ys.chunks(2).enumerate() {
-            assert_eq!(pair, [i as u32, i as u32]);
-        }
-    }
-
-    #[test]
     fn par_filter_map_filters() {
         let xs: Vec<u32> = (0..10_000).collect();
         let evens = par_filter_map(&xs, |&x| (x % 2 == 0).then_some(x));
@@ -606,18 +469,9 @@ mod tests {
     }
 
     #[test]
-    fn par_for_visits_all_once() {
-        let hits: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
-        par_for(10_000, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn par_sort_sorts() {
         let mut v: Vec<i64> = (0..10_000).map(|i| (i * 7919) % 10_000).collect();
-        par_sort(&mut v);
+        par_sort_by_key(&mut v, |&x| x);
         assert!(v.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -663,13 +517,17 @@ mod tests {
 
     #[test]
     fn sequential_mode_round_trips() {
+        // A 1-thread pool installed around a call is the sequential mode:
+        // every gate stays closed inside the scope and reopens outside it.
         let _knobs = test_knob_lock();
-        set_sequential(true);
-        assert!(is_sequential());
-        let xs: Vec<u64> = (0..10_000).collect();
-        assert_eq!(par_map(&xs, |x| x + 1)[9999], 10_000);
-        set_sequential(false);
-        assert!(!is_sequential());
+        set_num_threads(4);
+        crate::pool::ParPool::with_threads(1).install(|| {
+            assert!(!should_par_hint(1 << 20, CostHint::Light));
+            let xs: Vec<u64> = (0..10_000).collect();
+            assert_eq!(par_map(&xs, |x| x + 1)[9999], 10_000);
+        });
+        assert!(should_par_hint(1 << 20, CostHint::Light));
+        set_num_threads(0);
     }
 
     #[test]
@@ -677,7 +535,7 @@ mod tests {
         let _knobs = test_knob_lock();
         set_num_threads(1);
         assert_eq!(num_threads(), 1);
-        assert!(!should_par(1 << 20));
+        assert!(!should_par_hint(1 << 20, CostHint::Medium));
         set_num_threads(0);
         assert!(num_threads() >= 1);
     }

@@ -2,7 +2,7 @@
 //!
 //! The PR 1 layer realized every `par_*` call with `std::thread::scope`,
 //! paying a ~60µs spawn/join round-trip per invocation — the dominant
-//! scheduling overhead on the hot paths (`scan`, `semisort`, settlement).
+//! scheduling overhead on the hot paths (`semisort`, greedy rounds, settlement).
 //! This module replaces it with a pool in the Chase–Lev mold, std-only:
 //!
 //! * **persistent workers** parked on a condvar, woken in ~1µs;
@@ -15,7 +15,7 @@
 //!   deep as idle workers demand;
 //! * **cooperative blocking**: a thread waiting on a job (including a
 //!   worker inside a *nested* fork-join) executes pool tasks while it
-//!   waits, which makes nested `par_for` deadlock-free.
+//!   waits, which makes nested fork-join deadlock-free.
 //!
 //! Pools are handed around as `Arc<ParPool>`. [`current`] resolves the pool
 //! a primitive should run on: an [`ParPool::install`] scope first, then the

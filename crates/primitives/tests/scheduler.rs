@@ -7,10 +7,10 @@
 use pbdmm_primitives::cost::CostHint;
 use pbdmm_primitives::pool::{self, ParPool};
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_primitives::{exclusive_scan, group_by, par};
+use pbdmm_primitives::{group_by, par};
 
 /// Tests in this binary assert on process-global scheduler state (the
-/// forced cap, the sequential flag, global-pool job counters), so they run
+/// forced cap, global-pool job counters), so they run
 /// serialized: each takes this lock first.
 fn knob_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -48,7 +48,7 @@ fn installed_pool_receives_the_work() {
     let before = private.stats().jobs;
     private.install(|| {
         let xs: Vec<u64> = (0..100_000).collect();
-        assert_eq!(pbdmm_primitives::scan::par_sum(&xs), 99_999 * 100_000 / 2);
+        assert_eq!(par::par_map(&xs, |x| x + 1)[99_999], 100_000);
     });
     assert!(
         private.stats().jobs > before,
@@ -60,48 +60,47 @@ fn installed_pool_receives_the_work() {
 fn nested_par_for_inside_par_for() {
     let _knobs = knob_lock();
     force_parallel();
-    let outer = 32usize;
-    let inner = 10_000usize;
-    let totals: Vec<std::sync::atomic::AtomicU64> = (0..outer)
-        .map(|_| std::sync::atomic::AtomicU64::new(0))
-        .collect();
-    par::par_for_hint(outer, CostHint::Heavy, |o| {
+    // An outer parallel for (`par_apply_disjoint`, Heavy) whose body runs
+    // an inner one (`par_tabulate`, Light). Both sit at their class's
+    // cutoff, so both really fork.
+    let outer = CostHint::Heavy.sequential_cutoff();
+    let inner = CostHint::Light.sequential_cutoff();
+    let mut totals = vec![0u64; outer];
+    let groups: Vec<(usize, ())> = (0..outer).map(|o| (o, ())).collect();
+    par::par_apply_disjoint(&mut totals, groups, |total, ()| {
         // Nested data-parallel loop from inside a pool task: must neither
         // deadlock nor lose iterations.
-        par::par_for_hint(inner, CostHint::Light, |i| {
-            totals[o].fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
-        });
+        *total = par::par_tabulate(inner, |i| i as u64).iter().sum();
     });
     let want = (inner as u64 - 1) * inner as u64 / 2;
-    for t in &totals {
-        assert_eq!(t.load(std::sync::atomic::Ordering::Relaxed), want);
-    }
+    assert!(totals.iter().all(|&t| t == want));
 }
 
 #[test]
 fn adaptive_grain_boundaries_match_sequential() {
     let _knobs = knob_lock();
     force_parallel();
-    // n = 0, 1, cutoff-1, cutoff, cutoff+1 for each cost class: results must
-    // be identical whichever side of the sequential cutoff they fall on.
+    // n = 0, 1, cutoff-1, cutoff, cutoff+1 for each cost class, through the
+    // helper that carries that class: results must be identical whichever
+    // side of the sequential cutoff they fall on.
     for hint in [CostHint::Light, CostHint::Medium, CostHint::Heavy] {
         let c = hint.sequential_cutoff();
         for n in [0usize, 1, c - 1, c, c + 1] {
-            let got = par::par_tabulate(n, |i| i as u64 * 3);
             let want: Vec<u64> = (0..n).map(|i| i as u64 * 3).collect();
-            assert_eq!(got, want, "par_tabulate n={n} hint={hint:?}");
-
-            let hits: Vec<std::sync::atomic::AtomicU64> = (0..n)
-                .map(|_| std::sync::atomic::AtomicU64::new(0))
-                .collect();
-            par::par_for_hint(n, hint, |i| {
-                hits[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter()
-                    .all(|h| h.load(std::sync::atomic::Ordering::Relaxed) == 1),
-                "par_for n={n} hint={hint:?}"
-            );
+            let got = match hint {
+                CostHint::Light => par::par_tabulate(n, |i| i as u64 * 3),
+                CostHint::Medium => {
+                    let xs: Vec<u64> = (0..n as u64).collect();
+                    par::par_map(&xs, |x| x * 3)
+                }
+                CostHint::Heavy => {
+                    let mut slots = vec![0u64; n];
+                    let groups = (0..n).map(|i| (i, i as u64 * 3)).collect();
+                    par::par_apply_disjoint(&mut slots, groups, |slot, x| *slot += x);
+                    slots
+                }
+            };
+            assert_eq!(got, want, "n={n} hint={hint:?}");
         }
     }
 }
@@ -110,29 +109,25 @@ fn adaptive_grain_boundaries_match_sequential() {
 fn parallel_results_equal_sequential_results() {
     let _knobs = knob_lock();
     // Seeded determinism: the same inputs produce the same outputs whether
-    // the scheduler runs 4-way parallel or forced sequential.
+    // the scheduler runs 4-way parallel or on a 1-thread pool.
     force_parallel();
     let mut rng = SplitMix64::new(0xD5EE);
     let xs: Vec<u64> = (0..200_000).map(|_| rng.bounded(10_000)).collect();
     let pairs: Vec<(u32, u32)> = xs.iter().map(|&x| ((x % 512) as u32, x as u32)).collect();
+    let run = || {
+        let groups = group_by(pairs.clone());
+        let mut sorted = xs.clone();
+        par::par_sort_by_key(&mut sorted, |&x| x);
+        let kept = par::par_filter_map(&xs, |&x| (x % 3 == 0).then_some(x));
+        let found = pbdmm_primitives::find_next(3, xs.len(), |i| xs[i] > 9_990);
+        (groups, sorted, kept, found)
+    };
 
-    let (scan_par, total_par) = exclusive_scan(&xs);
-    let groups_par = group_by(pairs.clone());
-    let mut sorted_par = xs.clone();
-    par::par_sort(&mut sorted_par);
-    let found_par = pbdmm_primitives::find_next(3, xs.len(), |i| xs[i] > 9_990);
+    let (groups_par, sorted_par, kept_par, found_par) = run();
+    let (groups_seq, sorted_seq, kept_seq, found_seq) = ParPool::with_threads(1).install(run);
 
-    par::set_sequential(true);
-    let (scan_seq, total_seq) = exclusive_scan(&xs);
-    let groups_seq = group_by(pairs);
-    let mut sorted_seq = xs.clone();
-    par::par_sort(&mut sorted_seq);
-    let found_seq = pbdmm_primitives::find_next(3, xs.len(), |i| xs[i] > 9_990);
-    par::set_sequential(false);
-
-    assert_eq!(scan_par, scan_seq);
-    assert_eq!(total_par, total_seq);
     assert_eq!(sorted_par, sorted_seq);
+    assert_eq!(kept_par, kept_seq);
     assert_eq!(found_par, found_seq);
     // group_by order is unspecified across code paths; compare as multisets.
     let canon = |mut gs: Vec<(u32, Vec<u32>)>| {

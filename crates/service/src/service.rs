@@ -5,12 +5,11 @@
 //! structure, forms valid mixed batches under a [`CoalescePolicy`], appends
 //! each formed batch to the durable WAL **before** applying it, drives
 //! `apply` on a pinned [`ParPool`], and completes each submitter's
-//! [`Ticket`] with its slice of the [`BatchOutcome`] — the per-update
-//! mapping [`BatchOutcome::per_update`] exposes, computed slot-wise here so
-//! the hot path never clones the batch.
+//! [`Ticket`] with its slice of the [`BatchOutcome`] (the id its insertion
+//! was assigned, or the id it deleted), computed slot-wise so the hot path
+//! never clones the batch.
 //!
 //! [`BatchOutcome`]: pbdmm_matching::api::BatchOutcome
-//! [`BatchOutcome::per_update`]: pbdmm_matching::api::BatchOutcome::per_update
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -428,7 +427,7 @@ impl ServiceBuilder {
     {
         let config = self.config();
         let ckpt_fn = ckpt_fn_for(&config, &structure);
-        UpdateService::start_inner(structure, config, 0, 0, ckpt_fn)
+        UpdateService::start_inner(structure, config, 0, None, ckpt_fn)
     }
 
     /// Terminal: start the service **with the snapshot read path
@@ -458,15 +457,16 @@ impl ServiceBuilder {
         // structure starts fresh, and differ by this base otherwise.
         let epoch_base = structure.epoch();
         let reader = structure.enable_snapshots();
-        let svc = UpdateService::start_inner(structure, config, epoch_base, 0, ckpt_fn)?;
+        let svc = UpdateService::start_inner(structure, config, epoch_base, None, ckpt_fn)?;
         Ok((svc, QueryHandle { reader }))
     }
 
     /// Terminal: recover from the configured WAL directory (newest intact
     /// checkpoint + tail segments; see [`crate::replay::recover_dir_with`])
     /// and resume appending where the log left off. An empty or
-    /// not-yet-created directory starts fresh from `make()` — so a
-    /// crash/restart loop needs no first-run special case.
+    /// not-yet-created directory, or one whose first segment never got past
+    /// its header, starts fresh from `make()` — so a crash/restart loop
+    /// needs no first-run special case.
     pub fn recover_and_start<S, F>(
         self,
         make: F,
@@ -478,7 +478,8 @@ impl ServiceBuilder {
         let (config, rec) = self.recover(make)?;
         let info = rec.info();
         let ckpt_fn = ckpt_fn_for(&config, &rec.structure);
-        let svc = UpdateService::start_inner(rec.structure, config, 0, rec.next_seq, ckpt_fn)?;
+        let svc =
+            UpdateService::start_inner(rec.structure, config, 0, Some(rec.next_seq), ckpt_fn)?;
         Ok((svc, info))
     }
 
@@ -497,8 +498,13 @@ impl ServiceBuilder {
         let ckpt_fn = ckpt_fn_for(&config, &rec.structure);
         let epoch_base = rec.structure.epoch();
         let reader = rec.structure.enable_snapshots();
-        let svc =
-            UpdateService::start_inner(rec.structure, config, epoch_base, rec.next_seq, ckpt_fn)?;
+        let svc = UpdateService::start_inner(
+            rec.structure,
+            config,
+            epoch_base,
+            Some(rec.next_seq),
+            ckpt_fn,
+        )?;
         Ok((svc, QueryHandle { reader }, info))
     }
 
@@ -520,12 +526,7 @@ impl ServiceBuilder {
                     .into(),
             ));
         }
-        // Missing or empty directory: nothing to recover, start fresh.
-        let has_history = match list_wal_dir(&wal.path) {
-            Err(_) => false,
-            Ok(c) => !c.segments.is_empty() || !c.checkpoints.is_empty(),
-        };
-        if !has_history {
+        if holds_no_history(&wal.path, &wal.meta) {
             let rec = Recovery {
                 structure: make(),
                 checkpoint: None,
@@ -546,6 +547,30 @@ impl ServiceBuilder {
             )));
         }
         Ok((config, rec))
+    }
+}
+
+/// Whether the WAL directory holds no committed history, so recovery starts
+/// fresh: the directory is missing or empty, or its only file is
+/// `000000.seg` holding nothing but a prefix of the header this
+/// configuration writes (a crash between creating the log and its first
+/// commit, possibly mid-header). A torn *first batch* after a whole header
+/// needs no special case: recovery replays zero batches from it.
+fn holds_no_history(dir: &Path, meta: &WalMeta) -> bool {
+    let Ok(contents) = list_wal_dir(dir) else {
+        return true;
+    };
+    if !contents.checkpoints.is_empty() {
+        return false;
+    }
+    match &contents.segments[..] {
+        [] => true,
+        [(0, seg)] => {
+            let mut header = Vec::new();
+            wal::write_segment_header(&mut header, meta, 0).expect("write to a Vec");
+            std::fs::read(seg).is_ok_and(|bytes| header.starts_with(&bytes))
+        }
+        _ => false,
     }
 }
 
@@ -617,15 +642,17 @@ impl Drop for WalSink {
 }
 
 impl WalSink {
-    /// Open a segment directory for appending, continuing the global batch
-    /// sequence at `resume_seq` (0 for a fresh log; the recovered batch
-    /// count when the caller just recovered from this directory). A new
-    /// segment `resume_seq.seg` is always started: appending to a possibly
-    /// torn previous segment is never attempted, and by definition no
-    /// committed batch lives at or past `resume_seq`.
+    /// Open a segment directory for appending. `resume` is `None` for a
+    /// fresh log, which refuses a directory that already holds segments or
+    /// checkpoints unless [`WalConfig::truncate`] is set; it is
+    /// `Some(next_seq)` when the caller just recovered `next_seq` committed
+    /// batches from this directory, and the global batch sequence continues
+    /// there. A new segment `next_seq.seg` is always started: appending to a
+    /// possibly torn previous segment is never attempted, and by definition
+    /// no committed batch lives at or past `next_seq`.
     fn open(
         cfg: &WalConfig,
-        resume_seq: u64,
+        resume: Option<u64>,
         checkpointing: bool,
         stats: Arc<CkptStats>,
     ) -> Result<Self, ServiceError> {
@@ -637,7 +664,7 @@ impl WalSink {
             for (_, p) in contents.segments.iter().chain(contents.checkpoints.iter()) {
                 std::fs::remove_file(p).map_err(|e| werr(&format!("truncate {p:?}"), e))?;
             }
-        } else if resume_seq == 0
+        } else if resume.is_none()
             && (!contents.segments.is_empty() || !contents.checkpoints.is_empty())
         {
             return Err(ServiceError::Wal(format!(
@@ -647,6 +674,7 @@ impl WalSink {
                 cfg.path
             )));
         }
+        let resume_seq = resume.unwrap_or(0);
         let seg_path = segment_path(&cfg.path, resume_seq);
         let file = std::fs::File::create(&seg_path)
             .map_err(|e| werr(&format!("create segment {seg_path:?}"), e))?;
@@ -968,7 +996,7 @@ impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
         mut structure: S,
         config: ServiceConfig,
         epoch_base: u64,
-        resume_seq: u64,
+        resume: Option<u64>,
         ckpt_fn: Option<CkptFn<S>>,
     ) -> Result<Self, ServiceError> {
         // The structure shares the service's recorder, so settlement and
@@ -978,7 +1006,7 @@ impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
         let wal_sink = match &config.wal {
             Some(cfg) => Some(WalSink::open(
                 cfg,
-                resume_seq,
+                resume,
                 ckpt_fn.is_some(),
                 Arc::clone(&ckpt_stats),
             )?),
@@ -1275,8 +1303,7 @@ fn coalescer_loop<S: BatchDynamic>(
         }
 
         // --- Complete tickets with their BatchOutcome slices --------------
-        // Slot `pos` maps into the outcome exactly as `per_update` would:
-        // positions below `num_deletes` are the delete prefix, the rest
+        // Slot `pos` maps into the outcome by position: positions below `num_deletes` are the delete prefix, the rest
         // line up with `outcome.inserted` in batch order.
         let complete_span = obs.span(Phase::Complete);
         let batch_base = next_seq;

@@ -6,7 +6,8 @@
 //! epoch — across seeds and both id-allocation modes. And recovery is
 //! crash-tolerant at every byte: truncating the newest checkpoint falls
 //! back to an older one, truncating the tail segment recovers the longest
-//! committed prefix; neither ever turns into an error.
+//! committed prefix; neither ever turns into an error. A log that never
+//! committed a batch restarts as empty history.
 //!
 //! The driver submits one update at a time and waits for its ticket, so
 //! every logged batch is a singleton and batch `k` is exactly update `k`:
@@ -18,12 +19,14 @@ use std::time::Duration;
 
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::update::Batch;
-use pbdmm_graph::wal::WalMeta;
+use pbdmm_graph::wal::{self, WalMeta};
 use pbdmm_matching::snapshot::Snapshots;
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{recover_matching_from_dir, CoalescePolicy, ServiceConfig, WalConfig};
+use pbdmm_service::{
+    recover_matching_from_dir, CoalescePolicy, ServiceConfig, ServiceError, WalConfig,
+};
 
 fn fresh(seed: u64, recycling: bool) -> DynamicMatching {
     let mut m = DynamicMatching::with_seed(seed);
@@ -209,5 +212,70 @@ fn torn_tail_segment_recovers_a_committed_prefix_at_every_byte() {
     let rec = recover_matching_from_dir(&dir, false).unwrap();
     assert_eq!(rec.next_seq, 130);
     assert_same(&rec.structure, &served);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_log_that_never_committed_restarts_as_empty_history() {
+    // A crash between creating the log and its first commit leaves a sole
+    // `000000.seg` holding the header, or a torn prefix of it. Every such
+    // cut, the whole header included, must restart at seq 0, and what the
+    // restarted service logs must recover.
+    let meta = WalMeta {
+        structure: "matching".into(),
+        seed: 23,
+        ids_recycling: false,
+    };
+    let builder = |dir: &PathBuf| ServiceConfig::builder().wal_dir(dir, meta.clone());
+    let dir = tdir("never_committed");
+    let (svc, _query) = builder(&dir).start_serving(fresh(23, false)).unwrap();
+    drop(svc.shutdown());
+    let seg = dir.join("000000.seg");
+    let header = std::fs::read(&seg).unwrap();
+    assert!(header.starts_with(b"# pbdmm-wal v1"), "header-only segment");
+
+    for cut in 0..=header.len() {
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&seg, &header[..cut]).unwrap();
+        // A fresh start still refuses the directory ...
+        match builder(&dir).start_serving(fresh(23, false)) {
+            Err(ServiceError::Wal(e)) => assert!(e.contains("refusing to overwrite"), "{e}"),
+            other => panic!(
+                "cut at byte {cut}: fresh start over a log: {:?}",
+                other.err()
+            ),
+        }
+        // ... while recovery resumes it as empty history.
+        let (svc, query, info) = builder(&dir)
+            .recover_and_start_serving(|| fresh(23, false))
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: restart failed: {e}"));
+        assert_eq!(
+            (info.batches, info.checkpoint),
+            (0, None),
+            "cut at byte {cut}"
+        );
+        let c = svc.handle().insert(vec![1, 2]).wait().unwrap();
+        assert_eq!(c.seq, 0, "cut at byte {cut}");
+        assert_eq!(query.epoch(), 1);
+        let (served, _) = svc.shutdown();
+        let rec = recover_matching_from_dir(&dir, false).unwrap();
+        assert_eq!(rec.next_seq, 1, "cut at byte {cut}");
+        assert_same(&rec.structure, &served);
+    }
+
+    // A torn segment that is not the last one is still corruption: the
+    // history after it cannot be replayed.
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&seg, &header[..header.len() / 2]).unwrap();
+    let mut next = Vec::new();
+    wal::write_segment_header(&mut next, &meta, 1).unwrap();
+    wal::write_batch(&mut next, 1, &Batch::new().insert(vec![3, 4])).unwrap();
+    std::fs::write(dir.join("000001.seg"), next).unwrap();
+    assert!(builder(&dir)
+        .recover_and_start_serving(|| fresh(23, false))
+        .is_err());
+    assert!(recover_matching_from_dir(&dir, false).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }

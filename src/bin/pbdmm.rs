@@ -66,7 +66,7 @@ usage:
               [--wal DIR|none] [--wal-sync BOOL] [--checkpoint-every N]
               [--compare direct|none] [--seed S] [--threads T]
               [--profile [interval=N]]
-  pbdmm replay <wal-dir> [--from-genesis BOOL] [--threads T] [--profile]
+  pbdmm replay <wal-dir> [--threads T] [--profile]
   pbdmm daemon [--port P] [--host H] [--max-connections C] [--max-inflight W]
                [--max-batch B] [--max-delay-us D] [--wal DIR|none]
                [--wal-sync BOOL] [--checkpoint-every N] [--seed S] [--threads T]
@@ -112,8 +112,7 @@ usage:
   after every >= N updates; old segments compact away once a checkpoint
   covers them. replay recovers a directory the way a restarted daemon
   would — newest intact checkpoint plus tail segments, printing which
-  checkpoint it started from — unless --from-genesis true forces a
-  full-history replay. daemon pointed at an existing WAL directory
+  checkpoint it started from. daemon pointed at an existing WAL directory
   recovers from it and resumes appending; serve refuses to overwrite one.
   A single-file log from an older release is byte-identical to a first
   segment: mkdir D && mv FILE D/000000.seg, then replay D.
@@ -184,7 +183,7 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "seed",
             "profile",
         ],
-        "replay" => &["from-genesis", "profile"],
+        "replay" => &["profile"],
         "daemon" => &[
             "port",
             "host",
@@ -1118,10 +1117,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 /// Replay a WAL directory: recover exactly as a restarted daemon would —
-/// load the newest intact checkpoint, replay only the tail segments — or
-/// force a full-history replay with `--from-genesis true`. Ends with the
-/// same byte-comparable `final:` line serve and daemon print, so CI can
-/// diff recovery against the served state.
+/// load the newest intact checkpoint, replay only the tail segments. Ends
+/// with the same byte-comparable `final:` line serve and daemon print, so
+/// CI can diff recovery against the served state.
 fn cmd_replay(args: &Args) -> Result<(), String> {
     let dir = PathBuf::from(
         args.positional
@@ -1131,7 +1129,6 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     if dir.is_file() {
         return Err(single_file_wal_hint(&dir));
     }
-    let from_genesis: bool = args.flag("from-genesis", false)?;
     let prof = profile_from_flags(args)?;
     let meta = wal_dir_meta(&dir)?;
     println!(
@@ -1160,7 +1157,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
                         m.set_obs(obs.clone());
                         m
                     },
-                    from_genesis,
+                    false,
                 )?
             };
             prof.obs.add(Counter::Batches, rec.info().report.batches);
@@ -1180,7 +1177,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
             let rec = {
                 let _batch = prof.obs.span(Phase::Batch);
                 let _apply = prof.obs.span(Phase::Apply);
-                recover_dir_with(&dir, move || DynamicSetCover::with_seed(seed), from_genesis)?
+                recover_dir_with(&dir, move || DynamicSetCover::with_seed(seed), false)?
             };
             prof.obs.add(Counter::Batches, rec.info().report.batches);
             prof.obs.add(Counter::Updates, rec.info().report.updates);
@@ -1203,7 +1200,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
 }
 
 /// Print what directory recovery actually did: which checkpoint it started
-/// from (genesis when none was usable or `--from-genesis` forced it) and
+/// from (genesis when none was usable) and
 /// how much log it replayed past that point.
 fn print_recovery(info: &RecoveryInfo, elapsed: Duration) {
     match info.checkpoint {

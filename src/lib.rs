@@ -26,8 +26,8 @@
 //!   ([`net::proto`]), with per-connection backpressure and admission
 //!   control over the service layer, plus the blocking client and the
 //!   multi-connection load generator behind `pbdmm daemon` / `pbdmm load`;
-//! * [`primitives`] — the parallel toolbox (scan, semisort, dictionaries,
-//!   random permutations, work/depth metering).
+//! * [`primitives`] — the parallel toolbox (semisort, bucket sort, random
+//!   priorities, the work-stealing pool, work/depth metering).
 //!
 //! ## Quickstart
 //!
@@ -64,7 +64,7 @@ pub use pbdmm_setcover as setcover;
 pub use pbdmm_graph::{Batch, DeletionOrder, EdgeId, Hypergraph, Update, VertexId, Workload};
 pub use pbdmm_matching::{
     BatchDynamic, BatchOutcome, DynamicMatching, DynamicMatchingBuilder, LevelingConfig,
-    MatchResult, MeterMode, UpdateError, UpdateOutcome,
+    MatchResult, MeterMode, UpdateError,
 };
 pub use pbdmm_service::{CoalescePolicy, ServiceConfig, UpdateService};
 pub use pbdmm_setcover::{DynamicSetCover, ElementId, SetId};

@@ -12,7 +12,7 @@ use pbdmm::primitives::par;
 use pbdmm::primitives::pool::ParPool;
 use pbdmm::{Batch, DynamicMatching, DynamicMatchingBuilder};
 
-/// Tests here mutate process-global scheduler knobs (cap, sequential flag)
+/// Tests here mutate the process-global scheduler knob (the thread cap)
 /// and assert on pool activity, so they run serialized within this binary.
 fn knob_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -71,15 +71,19 @@ fn matching_is_deterministic_across_scheduler_modes() {
     let _knobs = knob_lock();
     force_parallel();
     // Same seed, three scheduler configurations: forced 4-way global pool,
-    // an explicit pinned pool, and fully sequential. Identical matchings.
+    // an explicit pinned pool, and a 1-thread pinned pool (fully
+    // sequential). Identical matchings.
     let parallel = churn_fingerprint(DynamicMatching::with_seed(9));
     let pinned = {
         let pool = ParPool::with_threads(3);
         churn_fingerprint(DynamicMatchingBuilder::new().seed(9).pool(pool).build())
     };
-    par::set_sequential(true);
-    let sequential = churn_fingerprint(DynamicMatching::with_seed(9));
-    par::set_sequential(false);
+    let sequential = churn_fingerprint(
+        DynamicMatchingBuilder::new()
+            .seed(9)
+            .pool(ParPool::with_threads(1))
+            .build(),
+    );
     assert_eq!(parallel, sequential);
     assert_eq!(pinned, sequential);
 }

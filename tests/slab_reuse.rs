@@ -63,7 +63,7 @@ fn recycled_ids_are_reused_lifo_and_stay_sound() {
     let mut m = recycling(1);
     let ids = m.insert_edges(&[vec![0, 1], vec![2, 3], vec![4, 5]]);
     assert_eq!(ids, vec![EdgeId(0), EdgeId(1), EdgeId(2)]);
-    m.try_delete_edges(&[ids[0], ids[2]]).unwrap();
+    m.apply(Batch::new().deletes([ids[0], ids[2]])).unwrap();
     // LIFO: the most recently freed id (2) comes back first, then 0, then a
     // fresh slot.
     let again = m.insert_edges(&[vec![6, 7], vec![8, 9], vec![10, 11]]);
